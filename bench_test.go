@@ -854,7 +854,7 @@ func BenchmarkDynamicScheduler(b *testing.B) {
 // clusterSimBench assembles a discrete-event cluster run on a synthetic
 // co-location world: surrogate tier first, measured-table fallback, QoS
 // surface precomputed once through the Predictor seam. Shared setup for
-// the two cluster-scale benchmarks below.
+// the cluster-scale benchmarks below.
 func clusterSimBench(b *testing.B, machines int, arrival float64) (cluster.SimConfig, [][]clusterworkload.Event) {
 	b.Helper()
 	const nLat, nBatch, maxInst = 3, 4, 6
@@ -911,6 +911,28 @@ func BenchmarkClusterSim10k(b *testing.B) {
 			b.Fatal(err)
 		}
 		totalEvents += res.Events
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkClusterGenerateEvents is the event-generation stage of
+// BenchmarkClusterSim10k on its own: the per-shard exogenous streams
+// (arrivals, churn) for the same 10k-machine fleet, without running
+// them. ns/op is the generator's share of a fresh cluster run.
+func BenchmarkClusterGenerateEvents(b *testing.B) {
+	cfg, _ := clusterSimBench(b, 10_000, 150_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	totalEvents := 0
+	for i := 0; i < b.N; i++ {
+		shards, err := cluster.GenerateEvents(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range shards {
+			totalEvents += len(s)
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")

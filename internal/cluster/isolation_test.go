@@ -255,12 +255,10 @@ func inflateActual(pt *PredTable, factor float64) *PredTable {
 	return &q
 }
 
-// TestGoldenIsolClusterSim pins the heterogeneous isolation run end to
-// end: a 100-machine two-generation fleet with 1.5× under-predicted
-// interference under PolicyIsolation, with the summary's isolation block
-// (escalations, resolutions, migrations, tax) and the full placement log
-// hashed into the fixture.
-func TestGoldenIsolClusterSim(t *testing.T) {
+// goldenIsolConfig is the heterogeneous isolation run's configuration:
+// goldenConfig's workload on a two-generation fleet whose interference
+// is under-predicted 1.5×, so the ladder has violations to absorb.
+func goldenIsolConfig(t *testing.T) SimConfig {
 	cfg := synthGenConfig(t, 100, 2, 97)
 	cfg.Workload.ArrivalRate = 3600
 	cfg.Workload.MeanDuration = 0.05
@@ -270,6 +268,16 @@ func TestGoldenIsolClusterSim(t *testing.T) {
 	}
 	cfg.Policy = PolicyIsolation
 	cfg.SLO = sloSimParams()
+	return cfg
+}
+
+// TestGoldenIsolClusterSim pins the heterogeneous isolation run end to
+// end: a 100-machine two-generation fleet with 1.5× under-predicted
+// interference under PolicyIsolation, with the summary's isolation block
+// (escalations, resolutions, migrations, tax) and the full placement log
+// hashed into the fixture.
+func TestGoldenIsolClusterSim(t *testing.T) {
+	cfg := goldenIsolConfig(t)
 	events, err := GenerateEvents(cfg)
 	if err != nil {
 		t.Fatal(err)

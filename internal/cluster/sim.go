@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	clworkload "repro/internal/cluster/workload"
 	"repro/internal/isol"
@@ -348,23 +347,33 @@ type SimResult struct {
 // every workers value.
 func RunSim(ctx context.Context, cfg SimConfig, shards [][]clworkload.Event, workers int) (SimResult, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	results, err := runShards(ctx, &cfg, shards, workers)
+	if err != nil {
 		return SimResult{}, err
 	}
+	return mergeShards(cfg, results), nil
+}
+
+// runShards validates cfg (already defaulted) and runs every shard,
+// returning the per-shard results in shard order.
+func runShards(ctx context.Context, cfg *SimConfig, shards [][]clworkload.Event, workers int) ([]shardResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if len(shards) != cfg.Shards {
-		return SimResult{}, fmt.Errorf("cluster: %d event shards for %d sim shards", len(shards), cfg.Shards)
+		return nil, fmt.Errorf("cluster: %d event shards for %d sim shards", len(shards), cfg.Shards)
 	}
 	// The admission/violation surfaces — one per (generation, isolation
 	// level) pair — and the post-drift measured surface are pure functions
 	// of the tables and parameters; precompute them once and share them
 	// read-only across shards.
-	world, err := buildSimWorld(&cfg)
+	world, err := buildSimWorld(cfg)
 	if err != nil {
-		return SimResult{}, err
+		return nil, err
 	}
 	results := make([]shardResult, cfg.Shards)
 	err = sched.Map(ctx, cfg.Shards, workers, func(ctx context.Context, i int) error {
-		r, err := runShard(ctx, &cfg, world, i, shards[i])
+		r, err := runShard(ctx, cfg, world, i, shards[i])
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -372,9 +381,9 @@ func RunSim(ctx context.Context, cfg SimConfig, shards [][]clworkload.Event, wor
 		return nil
 	})
 	if err != nil {
-		return SimResult{}, err
+		return nil, err
 	}
-	return mergeShards(cfg, results), nil
+	return results, nil
 }
 
 // shardResult is one cell's contribution before the deterministic merge.
@@ -438,22 +447,65 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 	if out.Placed > 0 {
 		out.ViolationFrac = float64(out.Violations) / float64(out.Placed)
 	}
-	out.Log = make([]Placement, 0, logLen)
-	for _, r := range rs {
-		out.Log = append(out.Log, r.log...)
+	out.Log = mergeLogs(rs, logLen)
+	return out
+}
+
+// mergeLogs merges the shard logs into the global (At, Shard, Seq) order.
+// Each shard log is already (At, Seq)-ordered and rs[i] holds shard i's,
+// so a k-way merge of the shard runs that breaks At ties by shard index
+// yields that order by construction. The merge is a tournament (loser)
+// tree over the shard cursors: each entry costs ⌈log₂ k⌉ comparisons, and
+// beyond the n-entry output it allocates O(k).
+func mergeLogs(rs []shardResult, n int) []Placement {
+	out := make([]Placement, n)
+	k := 1
+	for k < len(rs) {
+		k <<= 1
 	}
-	// Each shard log is already (At, Seq)-ordered; the global order is the
-	// deterministic (At, Shard, Seq) merge.
-	sort.Slice(out.Log, func(i, j int) bool {
-		a, b := out.Log[i], out.Log[j]
-		if a.At != b.At {
-			return a.At < b.At
+	// head[i] is the At of leaf i's next entry, +Inf once the leaf is
+	// exhausted (or padding past len(rs)); At is always finite, so an
+	// exhausted leaf never wins while entries remain.
+	head := make([]float64, k)
+	next := make([]int, k)
+	for i := range head {
+		head[i] = math.Inf(1)
+		if i < len(rs) && len(rs[i].log) > 0 {
+			head[i] = rs[i].log[0].At
 		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
+	}
+	before := func(a, b int) bool { return head[a] < head[b] || (head[a] == head[b] && a < b) }
+	// loser[i], 1 ≤ i < k, is the leaf that lost the match at internal
+	// node i; the winner of the whole tree rides in w. Build bottom-up
+	// from the per-node winners.
+	loser := make([]int, k)
+	win := make([]int, 2*k)
+	for i := 0; i < k; i++ {
+		win[k+i] = i
+	}
+	for i := k - 1; i >= 1; i-- {
+		a, b := win[2*i], win[2*i+1]
+		if before(b, a) {
+			a, b = b, a
 		}
-		return a.Seq < b.Seq
-	})
+		win[i], loser[i] = a, b
+	}
+	w := win[1]
+	for o := range out {
+		log := rs[w].log
+		out[o] = log[next[w]]
+		if next[w]++; next[w] < len(log) {
+			head[w] = log[next[w]].At
+		} else {
+			head[w] = math.Inf(1)
+		}
+		// Replay the winner's path to the root against the stored losers.
+		for i := (w + k) >> 1; i >= 1; i >>= 1 {
+			if before(loser[i], w) {
+				loser[i], w = w, loser[i]
+			}
+		}
+	}
 	return out
 }
 
@@ -479,11 +531,12 @@ type shardSim struct {
 
 	machines []simMachine
 	upIDs    []int32 // sorted local ids of up machines
-	buckets  []*iheap
-	events   *iheap          // pending departures, keyed (time, handle)
-	owner    map[int64]int32 // departure handle -> local machine id
-	handle   int64
-	rng      *xrand.Rand // Random-policy draws only
+	buckets  []iheap // occupancy buckets; they share one machine-id index
+	events   *iheap  // pending departures, keyed (time, handle)
+	// owner maps a departure handle — its index, handles count up from 0 —
+	// to the local machine running the job; released handles hold −1.
+	owner []int32
+	rng   *xrand.Rand // Random-policy draws only
 
 	nLat, nBatch, maxInst int
 	nGens, nLevels        int
@@ -589,7 +642,7 @@ func (s *shardSim) dropMachine(rank float64) {
 	s.buckets[s.stateOf(m)].Remove(int64(local))
 	for _, h := range m.jobs {
 		s.events.Remove(h)
-		delete(s.owner, h)
+		s.owner[h] = -1
 		s.res.evicted++
 	}
 	geom := s.w.geoms[m.gen]
@@ -611,10 +664,9 @@ func (s *shardSim) place(local int32, b int, at, duration float64) {
 	oldTax := s.taxOf(m)
 	m.batch = int16(b)
 	m.n++
-	h := s.handle
-	s.handle++
+	h := int64(len(s.owner))
+	s.owner = append(s.owner, local)
 	s.events.Push(at+duration, uint64(h), h)
-	s.owner[h] = local
 	m.jobs = append(m.jobs, h)
 	s.busyNow++
 	s.res.placed++
@@ -666,7 +718,10 @@ func (s *shardSim) place(local int32, b int, at, duration float64) {
 // depart completes the job behind a popped departure event.
 func (s *shardSim) depart(h int64) {
 	local := s.owner[h]
-	delete(s.owner, h)
+	if local < 0 {
+		panic("cluster: departure of a released job handle")
+	}
+	s.owner[h] = -1
 	m := &s.machines[local]
 	for i, jh := range m.jobs {
 		if jh == h {
@@ -791,7 +846,6 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 		nGens: len(w.tables), nLevels: 1,
 		tables: w.tables, gates: w.gates, levels: w.levels,
 		events: newIheap(),
-		owner:  make(map[int64]int32),
 		rng:    xrand.New(cfg.Workload.Seed ^ 0x51A1 ^ (uint64(shard)+1)*0xBF58476D1CE4E5B9),
 	}
 	if len(w.levels) > 0 {
@@ -819,10 +873,7 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 			s.qfAdmit[gi], s.qfSlack[gi] = ad, sl
 		}
 	}
-	s.buckets = make([]*iheap, s.nGens*s.nLevels*nLat*(nBatch+1)*(s.maxInst+1))
-	for i := range s.buckets {
-		s.buckets[i] = newIheap()
-	}
+	s.buckets = sharedIheaps(s.nGens * s.nLevels * nLat * (nBatch + 1) * (s.maxInst + 1))
 
 	// Initial fleet: machines are dealt to shards round-robin, and their
 	// latency apps round-robin over the population, so shard membership is
