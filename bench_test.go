@@ -557,7 +557,8 @@ func BenchmarkTraceOverheadDisabled(b *testing.B) {
 
 // BenchmarkQosdPredict measures the smited serving hot path as a
 // scheduler client sees it: HTTP round-trip, JSON codec, registry
-// snapshot and the memoized Equation 3 evaluation. One op is a burst of
+// snapshot and the Equation 3 answer, which after the first request comes
+// from the generation-scoped prediction memo. One op is a burst of
 // 256 keep-alive requests, so single-iteration CI runs (-benchtime 1x)
 // still average over enough round-trips to gate on. The CI bench job
 // compares ns/op against BENCH_baseline.json.
@@ -595,7 +596,7 @@ func BenchmarkQosdPredict(b *testing.B) {
 
 // BenchmarkQosdPredictTraced is BenchmarkQosdPredict with per-request span
 // tracing on (?trace=1 against an EnableTrace server): every request
-// allocates a tracer, records the route, predict and memo spans, and
+// allocates a tracer, records the route and predict spans, and
 // renders the Chrome trace for /debug/trace/last. The delta against
 // QosdPredict is the full per-request cost of tracing; the CI bench job
 // gates it against BENCH_baseline.json so the traced path cannot silently
@@ -1000,6 +1001,79 @@ func BenchmarkQosdAdmit(b *testing.B) {
 			if _, err := c.Admit(ctx, req); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkQosdPredictHandler is QosdPredict without the HTTP transport:
+// each request runs Handler().ServeHTTP in process on a recorder, so the
+// delta against QosdPredict is the loopback transport and client codec.
+// The CI bench regex selects it through its QosdPredict substring.
+func BenchmarkQosdPredictHandler(b *testing.B) {
+	benchQosdHandler(b, qosd.Config{}, "/v1/predict", func(victim, aggressor string) string {
+		return fmt.Sprintf(`{"victim":%q,"aggressor":%q}`, victim, aggressor)
+	})
+}
+
+// BenchmarkQosdAdmitHandler is QosdAdmit without the HTTP transport, like
+// QosdPredictHandler. The CI bench regex selects it through its QosdAdmit
+// substring.
+func BenchmarkQosdAdmitHandler(b *testing.B) {
+	slo := &qosd.SLOConfig{Classes: qosd.DefaultSLOClasses(), Headroom: 0.1}
+	benchQosdHandler(b, qosd.Config{SLO: slo}, "/v1/admit", func(victim, aggressor string) string {
+		return fmt.Sprintf(`{"victim":%q,"aggressor":%q,"class":"standard","queue":{"mu":1000,"lambda":600}}`,
+			victim, aggressor)
+	})
+}
+
+// benchQosdHandler serves bursts of 256 requests to path per op, in
+// process. Requests cycle through every ordered pair of eight registered
+// applications (56 pairs), and every 100th request re-uploads a profile,
+// which bumps the registry generation and empties the prediction memo:
+// each generation then sees 56 memo misses and 44 hits, so the timed path
+// includes the Equation 3 evaluation and not only a hot memo hit.
+func benchQosdHandler(b *testing.B, cfg qosd.Config, path string, body func(victim, aggressor string) string) {
+	const burst, apps, bumpEvery = 256, 8, 100
+	chars := make([]smite.Characterization, apps)
+	for i := range chars {
+		c := smite.Characterization{App: fmt.Sprintf("app-%d", i), SoloIPC: 0.5 + 0.1*float64(i)}
+		for d := range c.Sen {
+			c.Sen[d] = 0.01 * float64((i+d)%apps+1)
+			c.Con[d] = 0.02 * float64((i*d)%apps+1)
+		}
+		chars[i] = c
+	}
+	var coef [smite.NumDimensions]float64
+	for d := range coef {
+		coef[d] = 0.2
+	}
+	reg := qosd.NewRegistry()
+	reg.AddProfiles(chars)
+	reg.SetModel(smite.NewModel(coef, 0.01))
+	h := qosd.NewServer(reg, cfg).Handler()
+	var bodies []string
+	for _, v := range chars {
+		for _, a := range chars {
+			if v.App != a.App {
+				bodies = append(bodies, body(v.App, a.App))
+			}
+		}
+	}
+	bump := chars[:1]
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			if n%bumpEvery == 0 {
+				reg.AddProfiles(bump)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(bodies[n%len(bodies)])))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%s = %d: %s", path, rec.Code, rec.Body)
+			}
+			n++
 		}
 	}
 }

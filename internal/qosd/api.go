@@ -324,7 +324,7 @@ type HealthResponse struct {
 	ModelLoaded bool   `json:"model_loaded"`
 }
 
-// CacheMetrics snapshots the prediction memo (an internal/simcache).
+// CacheMetrics snapshots the prediction memo.
 type CacheMetrics struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`

@@ -184,22 +184,28 @@ func TestTraceEndpointCapturesPredict(t *testing.T) {
 		t.Fatalf("trace/last is not valid Chrome-trace JSON: %v\n%s", err, b)
 	}
 	names := map[string]bool{}
+	memo := ""
 	for _, ev := range doc.TraceEvents {
 		names[ev.Name] = true
+		if ev.Name == "qosd.predict" {
+			memo = ev.Args["memo"]
+		}
 	}
-	for _, want := range []string{"POST /v1/predict", "qosd.predict", "simcache.compute"} {
+	for _, want := range []string{"POST /v1/predict", "qosd.predict"} {
 		if !names[want] {
 			t.Errorf("traced request missing %q span; have %v", want, names)
 		}
 	}
+	if memo != "miss" {
+		t.Errorf("first traced qosd.predict has memo=%q, want miss", memo)
+	}
 
-	// The second traced request replaces the first: a memo hit renders a
-	// simcache.lookup span instead of a compute.
+	// The second traced request replaces the first and is a memo hit.
 	if code, _ := postJSON(t, ts.URL+"/v1/predict?trace=1", traced); code != http.StatusOK {
 		t.Fatalf("traced predict = %d", code)
 	}
-	if _, b2 := get(t, ts.URL+"/debug/trace/last"); !strings.Contains(string(b2), "simcache.lookup") {
-		t.Errorf("second trace missing simcache.lookup (memo hit):\n%s", b2)
+	if _, b2 := get(t, ts.URL+"/debug/trace/last"); !strings.Contains(string(b2), `"memo":"hit"`) {
+		t.Errorf("second trace missing memo=hit on qosd.predict:\n%s", b2)
 	}
 }
 

@@ -18,8 +18,9 @@ type Registry struct {
 	profiles map[string]smite.Characterization
 	model    smite.Model
 	hasModel bool
-	// gen increments on every mutation; prediction memo keys include it so
-	// cached results can never outlive the profiles they were computed from.
+	// gen increments on every mutation; the prediction memo holds one
+	// generation's answers, so they never outlive the profiles they were
+	// computed from.
 	gen uint64
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/queueing"
 	"repro/internal/service"
-	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/smite"
 )
@@ -107,10 +106,8 @@ type Server struct {
 	reg      *Registry
 	mux      *http.ServeMux
 	inflight chan struct{}
-	// memo collapses repeated identical predictions (a scheduler asks the
-	// same pair many times as machines churn). Keys include the registry
-	// generation, so uploads invalidate it wholesale.
-	memo    *simcache.Cache[float64]
+	// memo holds the current registry generation's engine-tier answers.
+	memo    *predMemo
 	metrics *serverMetrics
 
 	// slo is the saturation analyzer behind /v1/admit; nil when the
@@ -131,7 +128,7 @@ func NewServer(reg *Registry, cfg Config) *Server {
 		reg:      reg,
 		mux:      http.NewServeMux(),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
-		memo:     simcache.New[float64](),
+		memo:     newPredMemo(),
 		metrics:  newServerMetrics(),
 	}
 	if cfg.SLO != nil {
@@ -472,25 +469,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	routes, lat, uptime := s.metrics.snapshot()
-	cs := s.memo.Stats()
 	_, hasModel := s.reg.Model()
 	var sloReport *SLOMetricsReport
 	if s.slo != nil {
 		sloReport = s.slo.report()
 	}
 	writeJSON(w, http.StatusOK, MetricsResponse{
-		UptimeSeconds: uptime,
-		Requests:      routes,
-		Latency:       lat,
-		Profiles:      s.reg.Len(),
-		ModelLoaded:   hasModel,
-		PredictionCache: CacheMetrics{
-			Hits:    cs.Hits,
-			Misses:  cs.Misses,
-			Entries: cs.Entries,
-		},
-		MaxInFlight: s.cfg.MaxInFlight,
-		SLO:         sloReport,
+		UptimeSeconds:   uptime,
+		Requests:        routes,
+		Latency:         lat,
+		Profiles:        s.reg.Len(),
+		ModelLoaded:     hasModel,
+		PredictionCache: s.memo.Stats(),
+		MaxInFlight:     s.cfg.MaxInFlight,
+		SLO:             sloReport,
 	})
 }
 
@@ -768,11 +760,9 @@ type prediction struct {
 // error bound stays within the configured threshold — microseconds, no
 // memo needed. Everything else (partial occupancy, apps without fitted
 // models, bounds over threshold) takes the engine tier: resolve profiles
-// and model under one registry snapshot, validate the partial-occupancy
-// arguments, and memoize by (generation, pair, occupancy). The context
-// bounds the memo wait: a request whose deadline fires while another
-// request computes the same key stops waiting instead of burning its
-// remaining budget.
+// and model under one registry snapshot and memoize by (pair, occupancy)
+// within the snapshot's generation. A traced request records the memo
+// outcome on its qosd.predict span.
 func (s *Server) predict(ctx context.Context, victim, aggressor string, instances, threads int) (prediction, *APIError) {
 	if victim == "" {
 		return prediction{}, invalidArgument("victim must be set")
@@ -789,7 +779,7 @@ func (s *Server) predict(ctx context.Context, victim, aggressor string, instance
 	if threads > 0 && (instances < 1 || instances > threads) {
 		return prediction{}, invalidArgument("instances (%d) outside [1, threads=%d]", instances, threads)
 	}
-	ctx, span := trace.Start(ctx, "qosd.predict",
+	_, span := trace.Start(ctx, "qosd.predict",
 		trace.String("victim", victim), trace.String("aggressor", aggressor))
 	defer span.End()
 	if set := s.cfg.Surrogate; set != nil && threads == 0 {
@@ -806,17 +796,17 @@ func (s *Server) predict(ctx context.Context, victim, aggressor string, instance
 	if apiErr != nil {
 		return prediction{}, apiErr
 	}
-	key := simcache.KeyOf("qosd/predict/v2", gen, victim, aggressor, instances, threads)
-	deg, _, err := s.memo.DoContext(ctx, key, func(context.Context) (float64, error) {
+	// The profiles' own names key the memo, so its entries share the
+	// registry's strings instead of pinning each request's copies.
+	key := memoKey{victim: v.App, aggressor: a.App, instances: instances, threads: threads}
+	deg, hit := s.memo.lookup(gen, key)
+	if hit {
+		span.SetAttr(trace.String("memo", "hit"))
+	} else {
 		// threads == 0 degenerates to the plain Equation 3 pair prediction.
-		return m.PredictPartial(v, a, instances, threads), nil
-	})
-	if err != nil {
-		if apiErr := ctxError(err); apiErr != nil {
-			return prediction{}, apiErr
-		}
-		// The compute function cannot fail; kept for the Do contract.
-		return prediction{}, &APIError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
+		deg = m.PredictPartial(v, a, instances, threads)
+		s.memo.store(gen, key, deg)
+		span.SetAttr(trace.String("memo", "miss"))
 	}
 	return prediction{deg: sanitizeDeg(deg), tier: TierEngine, gen: gen}, nil
 }
