@@ -359,24 +359,9 @@ func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
 	}
 
 	// Comparison policies ship their own control: the same event streams
-	// rerun with violation accounting held identical — the greedy
-	// QoS-floor policy for -policy=slo, the static SLO gate for
-	// -policy=closedloop and -policy=isolation — so the summary carries a
-	// side-by-side.
-	if cfg.Policy == cluster.PolicySLO || cfg.Policy == cluster.PolicyClosedLoop || cfg.Policy == cluster.PolicyIsolation {
-		control := cfg
-		label := "greedy"
-		switch cfg.Policy {
-		case cluster.PolicyClosedLoop:
-			control.Policy = cluster.PolicySLO
-			label = "static gate"
-		case cluster.PolicyIsolation:
-			control.Policy = cluster.PolicySLO
-			control.Isol = nil
-			label = "no-enforcement gate"
-		default:
-			control.Policy = cluster.PolicySMiTe
-		}
+	// rerun with violation accounting held identical, so the summary
+	// carries a side-by-side.
+	if control, label, ok := cluster.ControlConfig(cfg); ok {
 		base, err := cluster.RunSim(ctx, control, events, o.parallelism)
 		if err != nil {
 			return err

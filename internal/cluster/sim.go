@@ -6,9 +6,7 @@ import (
 	"math"
 
 	clworkload "repro/internal/cluster/workload"
-	"repro/internal/isol"
 	"repro/internal/sched"
-	"repro/internal/xrand"
 )
 
 // This file is the warehouse-scale discrete-event core: tens of
@@ -107,7 +105,7 @@ func (c SimConfig) withDefaults() SimConfig {
 		c.Shards = DefaultShards
 	}
 	c.SLO = c.SLO.withDefaults()
-	if c.Policy == PolicyIsolation {
+	if spec, _ := policyOf(c.Policy); spec.ladder {
 		c.Isol = c.Isol.withDefaults()
 	}
 	return c
@@ -122,15 +120,14 @@ func (c SimConfig) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("cluster: sim shards must be non-negative, got %d", c.Shards)
 	}
-	switch c.Policy {
-	case PolicySMiTe, PolicyOracle, PolicyRandom, PolicySLO, PolicyClosedLoop, PolicyIsolation:
-	default:
+	spec, ok := policyOf(c.Policy)
+	if !ok {
 		return fmt.Errorf("cluster: unknown policy %d", int(c.Policy))
 	}
-	if (c.Policy == PolicySLO || c.Policy == PolicyClosedLoop || c.Policy == PolicyIsolation) && c.SLO == nil {
+	if spec.needsSLO && c.SLO == nil {
 		return fmt.Errorf("cluster: policy %s needs SLO parameters", c.Policy)
 	}
-	if c.Policy == PolicyIsolation {
+	if spec.ladder {
 		if err := c.Isol.Validate(); err != nil {
 			return err
 		}
@@ -144,7 +141,7 @@ func (c SimConfig) Validate() error {
 		if _, err := AllocPolicyByName(c.Alloc); err != nil {
 			return err
 		}
-		if c.Policy == PolicyRandom {
+		if !spec.scans {
 			return fmt.Errorf("cluster: alloc policy %q has no effect under policy %s", c.Alloc, c.Policy)
 		}
 	}
@@ -165,7 +162,7 @@ func (c SimConfig) Validate() error {
 	if c.ThreadsPerServer >= c.ContextsPerServer {
 		return fmt.Errorf("cluster: %d threads leave no idle context of %d", c.ThreadsPerServer, c.ContextsPerServer)
 	}
-	if err := c.validateFleet(); err != nil {
+	if err := c.validateFleet(spec); err != nil {
 		return err
 	}
 	return nil
@@ -174,7 +171,7 @@ func (c SimConfig) Validate() error {
 // validateFleet checks the prediction table(s) and per-generation geometry
 // against the workload and policy — the homogeneous single-table fleet and
 // the heterogeneous MachineGens fleet share every per-table rule.
-func (c *SimConfig) validateFleet() error {
+func (c *SimConfig) validateFleet(spec policySpec) error {
 	checkTable := func(scope string, t *PredTable, threads, contexts int) error {
 		wrap := func(err error) error {
 			if scope == "" {
@@ -204,7 +201,7 @@ func (c *SimConfig) validateFleet() error {
 	if c.Table != nil {
 		return fmt.Errorf("cluster: machine generations carry their own tables; leave Table nil")
 	}
-	if c.Policy == PolicyClosedLoop {
+	if !spec.mixedFleet {
 		return fmt.Errorf("cluster: policy %s does not support heterogeneous machine generations yet", c.Policy)
 	}
 	if c.Drift != nil {
@@ -405,10 +402,11 @@ type shardResult struct {
 
 func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 	out := SimResult{Policy: cfg.Policy, QoS: cfg.genTables()[0].QoS, Target: cfg.Target, SLOParams: cfg.SLO}
-	if cfg.Policy == PolicyIsolation {
+	if cfg.Isol != nil {
 		out.IsolationLevels = len(cfg.Isol.Levels)
 	}
 	logLen := 0
+	var busy, ctx, base, tax float64
 	for _, r := range rs {
 		out.Events += r.events
 		out.Arrived += r.arrived
@@ -431,9 +429,6 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 			out.PeakUtilization = r.peak
 		}
 		logLen += len(r.log)
-	}
-	var busy, ctx, base, tax float64
-	for _, r := range rs {
 		busy += r.busyInt
 		ctx += r.ctxInt
 		base += r.baseInt
@@ -514,19 +509,17 @@ type simMachine struct {
 	lat   int16
 	batch int16 // −1 when no batch app is resident
 	n     int16
-	gen   int16 // machine generation index (0 for homogeneous fleets)
-	level int16 // engaged isolation level (0 = off; resets when n hits 0)
-	up    bool
+	gen   int16   // machine generation index (0 for homogeneous fleets)
+	level int16   // engaged isolation level (0 = off; resets when n hits 0)
 	jobs  []int64 // live departure-event handles
 }
 
 // shardSim is the per-cell simulation state.
 type shardSim struct {
 	cfg   *SimConfig
-	w     *simWorld   // shared read-only surfaces (tables, gates, drift)
-	t     *PredTable  // w.tables[0]: bucket geometry (shapes are shared)
-	dw    *driftWorld // non-nil when cfg.Drift is set; read-only
-	cl    *closedLoop // non-nil for PolicyClosedLoop; shard-local
+	w     *simWorld  // shared read-only surfaces (tables, gates, drift)
+	t     *PredTable // w.tables[0]: bucket geometry (shapes are shared)
+	adm   admission  // the policy's shard-local implementation
 	shard int
 
 	machines []simMachine
@@ -536,20 +529,9 @@ type shardSim struct {
 	// owner maps a departure handle — its index, handles count up from 0 —
 	// to the local machine running the job; released handles hold −1.
 	owner []int32
-	rng   *xrand.Rand // Random-policy draws only
 
 	nLat, nBatch, maxInst int
 	nGens, nLevels        int
-
-	// tables and gates alias simWorld for brevity in the hot loop; levels
-	// is the isolation ladder (nil unless PolicyIsolation). qfAdmit and
-	// qfSlack are the per-generation QoS-floor admission surfaces the
-	// SMiTe/Oracle policies scan (q ≥ target, headroom q − target).
-	tables  []*PredTable
-	gates   [][]*sloGate
-	levels  []isol.Setting
-	qfAdmit [][]bool
-	qfSlack [][]float64
 
 	// Utilisation integrals. taxNow is exactly 0.0 whenever the isolation
 	// ladder is off, so the integral never perturbs pre-isolation results.
@@ -617,7 +599,6 @@ func (s *shardSim) addMachine(lat int) int32 {
 	gen := s.genOf(s.globalID(local))
 	s.machines = append(s.machines, simMachine{lat: int16(lat), batch: -1, gen: int16(gen)})
 	m := &s.machines[local]
-	m.up = true
 	s.upIDs = append(s.upIDs, local) // ids are monotone, so append keeps order
 	s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
 	s.busyNow += s.w.geoms[gen].threads
@@ -650,18 +631,18 @@ func (s *shardSim) dropMachine(rank float64) {
 	s.baseNow -= geom.threads
 	s.ctxNow -= geom.contexts
 	s.taxNow -= s.taxOf(m)
-	m.up = false
 	m.jobs = m.jobs[:0]
 	m.batch, m.n, m.level = -1, 0, 0
 	s.res.downs++
 }
 
 // place puts one instance of batch b on local machine id, scheduling its
-// departure.
+// departure, then hands the landed instance to the policy's placed hook.
+// The hook also owns the placement's throughput-tax delta: the isolation
+// ladder may re-level the machine under it, and only the ladder has a tax.
 func (s *shardSim) place(local int32, b int, at, duration float64) {
 	m := &s.machines[local]
 	s.buckets[s.stateOf(m)].Remove(int64(local))
-	oldTax := s.taxOf(m)
 	m.batch = int16(b)
 	m.n++
 	h := int64(len(s.owner))
@@ -670,49 +651,12 @@ func (s *shardSim) place(local int32, b int, at, duration float64) {
 	m.jobs = append(m.jobs, h)
 	s.busyNow++
 	s.res.placed++
-	// Violation accounting: against the class tail-latency budget when
-	// SLO parameters are set (for every policy, so greedy-vs-SLO studies
-	// count violations identically), against the QoS floor otherwise —
-	// reading the post-drift measured surface once the drift has landed,
-	// again for every policy. PolicyIsolation interposes its enforcement
-	// ladder: escalate the machine's operating point first, and only count
-	// (and migrate) the violations no level can absorb.
-	t := s.tables[m.gen]
-	cell := t.Cell(int(m.lat), b, int(m.n))
-	drifted := s.dw != nil && at >= s.dw.at
-	unresolved := false
-	switch {
-	case s.nLevels > 1:
-		unresolved = s.enforceIsolation(m, cell)
-	case s.gates != nil:
-		violate := s.gates[m.gen][0].violate
-		if drifted {
-			violate = s.dw.violate
-		}
-		if violate[cell] {
-			s.res.violations++
-		}
-	default:
-		qos := t.ActualQoS[cell]
-		if drifted {
-			qos = s.dw.actualQoS[cell]
-		}
-		if qos < s.cfg.Target {
-			s.res.violations++
-		}
-	}
 	s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
-	s.taxNow += s.taxOf(m) - oldTax
 	s.res.log = append(s.res.log, Placement{
 		At: at, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
 		Machine: s.globalID(local), Lat: m.lat, Batch: int16(b), N: m.n,
 	})
-	if s.cl != nil {
-		s.observeClosedLoop(int(m.lat), b, cell, at)
-	}
-	if unresolved {
-		s.migrateNewest(local, b, at)
-	}
+	s.adm.placed(local, b, s.w.tables[m.gen].Cell(int(m.lat), b, int(m.n)), at)
 }
 
 // depart completes the job behind a popped departure event.
@@ -744,96 +688,6 @@ func (s *shardSim) depart(h int64) {
 	s.res.departed++
 }
 
-// admission returns the per-cell admissible/slack surfaces the scan reads
-// for (generation, isolation level) candidates. QoS-floor policies pack by
-// QoS headroom above the target; SLO-family policies by predicted
-// tail-latency slack under the effective budget; the closed loop reads its
-// shard-local re-scored working copy.
-func (s *shardSim) admission(gen, level int) (admit []bool, slack []float64) {
-	switch {
-	case s.cfg.Policy == PolicyClosedLoop:
-		return s.cl.admit, s.cl.slack
-	case s.cfg.Policy == PolicySLO || s.cfg.Policy == PolicyIsolation:
-		g := s.gates[gen][level]
-		return g.admit, g.slack
-	default:
-		return s.qfAdmit[gen], s.qfSlack[gen]
-	}
-}
-
-// admit picks the machine for one instance of batch b, or −1 to reject.
-// All non-Random policies scan the occupancy buckets — O(generations ×
-// levels × lats × instances) bucket peeks, never a fleet scan — scoring
-// admissible candidates with the configured allocation policy (bestfit by
-// default: tightest headroom wins) under deterministic tie-breaks (first
-// admissible state in bucket-scan order, then lowest machine id). Random
-// probes the up-machine ring for spare capacity, ignoring QoS.
-func (s *shardSim) admit(b int) int32 {
-	if s.cfg.Policy == PolicyRandom {
-		if len(s.upIDs) == 0 {
-			return -1
-		}
-		start := s.rng.Intn(len(s.upIDs))
-		for k := 0; k < len(s.upIDs); k++ {
-			local := s.upIDs[(start+k)%len(s.upIDs)]
-			m := &s.machines[local]
-			if (m.batch < 0 || int(m.batch) == b) && int(m.n) < s.maxInst {
-				return local
-			}
-		}
-		return -1
-	}
-	alloc := s.w.alloc
-	bestState := -1
-	bestScore := math.Inf(1)
-	for gen := 0; gen < s.nGens; gen++ {
-		t := s.tables[gen]
-		for level := 0; level < s.nLevels; level++ {
-			admit, slack := s.admission(gen, level)
-			for lat := 0; lat < s.nLat; lat++ {
-				// Empty machines take the first instance (they are always at
-				// level 0 — isolation disengages when a machine drains);
-				// occupied ones stack more of the same batch kind up to
-				// MaxInstances.
-				if level == 0 {
-					if state := s.bucketIdx(gen, 0, lat, 0, 0); s.buckets[state].Len() > 0 {
-						if cell := t.Cell(lat, b, 1); admit[cell] {
-							sc := slack[cell]
-							if alloc != nil {
-								sc = alloc(slack[cell], 1, predDegOf(t, cell))
-							}
-							if sc < bestScore {
-								bestScore = sc
-								bestState = state
-							}
-						}
-					}
-				}
-				for n := 1; n < s.maxInst; n++ {
-					state := s.bucketIdx(gen, level, lat, 1+b, n)
-					if s.buckets[state].Len() == 0 {
-						continue
-					}
-					if cell := t.Cell(lat, b, n+1); admit[cell] {
-						sc := slack[cell]
-						if alloc != nil {
-							sc = alloc(slack[cell], n+1, predDegOf(t, cell))
-						}
-						if sc < bestScore {
-							bestScore = sc
-							bestState = state
-						}
-					}
-				}
-			}
-		}
-	}
-	if bestState < 0 {
-		return -1
-	}
-	return int32(s.buckets[bestState].Min().handle)
-}
-
 // ctxCheckInterval bounds how stale a cancellation can go unnoticed in
 // the per-shard event loop.
 const ctxCheckInterval = 1 << 16
@@ -841,38 +695,13 @@ const ctxCheckInterval = 1 << 16
 func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo []clworkload.Event) (shardResult, error) {
 	nLat, nBatch := cfg.Workload.Lats, cfg.Workload.Batches
 	s := &shardSim{
-		cfg: cfg, w: w, t: w.tables[0], dw: w.dw, shard: shard,
+		cfg: cfg, w: w, t: w.tables[0], shard: shard,
 		nLat: nLat, nBatch: nBatch, maxInst: w.tables[0].MaxInstances,
-		nGens: len(w.tables), nLevels: 1,
-		tables: w.tables, gates: w.gates, levels: w.levels,
+		nGens: len(w.tables), nLevels: max(1, len(w.levels)),
 		events: newIheap(),
-		rng:    xrand.New(cfg.Workload.Seed ^ 0x51A1 ^ (uint64(shard)+1)*0xBF58476D1CE4E5B9),
 	}
-	if len(w.levels) > 0 {
-		s.nLevels = len(w.levels)
-	}
-	if cfg.Policy == PolicyClosedLoop {
-		s.cl = newClosedLoop(cfg.Table, w.gates[0][0], cfg.SLO)
-	}
-	if cfg.Policy != PolicySLO && cfg.Policy != PolicyClosedLoop && cfg.Policy != PolicyIsolation && cfg.Policy != PolicyRandom {
-		// Precompute the QoS-floor admission surfaces once per generation;
-		// admit() then stays pure array lookups.
-		s.qfAdmit = make([][]bool, s.nGens)
-		s.qfSlack = make([][]float64, s.nGens)
-		for gi, t := range s.tables {
-			qos := t.PredQoS
-			if cfg.Policy == PolicyOracle {
-				qos = t.ActualQoS
-			}
-			ad := make([]bool, len(qos))
-			sl := make([]float64, len(qos))
-			for i, q := range qos {
-				ad[i] = q >= cfg.Target
-				sl[i] = q - cfg.Target
-			}
-			s.qfAdmit[gi], s.qfSlack[gi] = ad, sl
-		}
-	}
+	spec, _ := policyOf(cfg.Policy)
+	s.adm = spec.newShard(s)
 	s.buckets = sharedIheaps(s.nGens * s.nLevels * nLat * (nBatch + 1) * (s.maxInst + 1))
 
 	// Initial fleet: machines are dealt to shards round-robin, and their
@@ -926,7 +755,7 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 			s.dropMachine(ev.Rank)
 		case clworkload.KindJobArrive:
 			s.res.arrived++
-			if local := s.admit(ev.Batch); local >= 0 {
+			if local := s.adm.pick(ev.Batch); local >= 0 {
 				s.place(local, ev.Batch, ev.At, ev.Duration)
 			} else {
 				s.res.rejected++

@@ -167,6 +167,34 @@ func TestSimOracleNeverViolates(t *testing.T) {
 	}
 }
 
+// TestSimTighterTargetPlacesLess checks the QoS floor steers admission:
+// on the same events, a tighter target places fewer instances and does
+// not raise utilisation.
+func TestSimTighterTargetPlacesLess(t *testing.T) {
+	cfg := synthSimConfig(t, 48, 2, 23)
+	events, err := GenerateEvents(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer saveFailureTrace(t, cfg, events)
+	run := func(target float64) SimResult {
+		c := cfg
+		c.Target = target
+		res, err := RunSim(context.Background(), c, events, 2)
+		if err != nil {
+			t.Fatalf("target %g: %v", target, err)
+		}
+		return res
+	}
+	loose, tight := run(0.85), run(0.97)
+	if tight.Placed >= loose.Placed {
+		t.Errorf("target 0.97 placed %d, not fewer than target 0.85's %d", tight.Placed, loose.Placed)
+	}
+	if tight.MeanUtilization > loose.MeanUtilization {
+		t.Errorf("target 0.97 utilisation %g above target 0.85's %g", tight.MeanUtilization, loose.MeanUtilization)
+	}
+}
+
 // TestSimPolicySpread: Random placement must violate more often than
 // SMiTe on the same event stream, and SMiTe must track Oracle's
 // utilisation — the fleet-level shape of the paper's Figures 14/15.
@@ -318,7 +346,7 @@ func TestSimSLOPolicy(t *testing.T) {
 	}
 
 	// The admission contract: no placement on an inadmissible cell.
-	gate, err := buildSLOGate(cfg.Table, cfg.SLO.withDefaults())
+	gate, err := buildSLOGate(cfg.Table, cfg.SLO.withDefaults(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,20 +114,22 @@ func (p *SLOSimParams) classFor(lat int) SLOSimClass {
 // under SLO parameters — so greedy-vs-SLO comparisons count violations
 // identically).
 type sloGate struct {
-	admit   []bool
-	slack   []float64 // effectiveBudget − predictedTail; valid where admit
+	surface // slack is effectiveBudget − predictedTail; valid where admit
 	violate []bool
 }
 
-// buildSLOGate evaluates the admission check once per cell.
-func buildSLOGate(t *PredTable, p *SLOSimParams) (*sloGate, error) {
+// buildSLOGate evaluates the admission check once per cell, with an
+// isolation level's DegScale folded in: the predicted degradation, its
+// bound and the measured degradation all shrink by the level's shielding
+// factor (1 without isolation), so each (generation, level) pair gets its
+// own admission/violation surface and the event loop stays array lookups.
+func buildSLOGate(t *PredTable, p *SLOSimParams, scale float64) (*sloGate, error) {
 	if !t.HasDegradations() {
 		return nil, fmt.Errorf("cluster: prediction table has no degradation surface (rebuild it with this version's BuildPredTable)")
 	}
 	cells := len(t.PredDeg)
 	g := &sloGate{
-		admit:   make([]bool, cells),
-		slack:   make([]float64, cells),
+		surface: surface{admit: make([]bool, cells), slack: make([]float64, cells)},
 		violate: make([]bool, cells),
 	}
 	for l := 0; l < len(t.LatencyApps); l++ {
@@ -136,13 +138,13 @@ func buildSLOGate(t *PredTable, p *SLOSimParams) (*sloGate, error) {
 		for b := 0; b < len(t.BatchApps); b++ {
 			for n := 1; n <= t.MaxInstances; n++ {
 				i := t.Cell(l, b, n)
-				dec := qosd.EvaluateAdmission(t.PredDeg[i], t.PredBound[i], cl.Mu, cl.Lambda, class, p.Headroom)
+				dec := qosd.EvaluateAdmission(t.PredDeg[i]*scale, t.PredBound[i]*scale, cl.Mu, cl.Lambda, class, p.Headroom)
 				g.admit[i] = dec.Admitted
 				g.slack[i] = dec.EffectiveBudget - dec.Tail
 				// Violations are measured against the full budget at the
 				// true degradation, with no bound inflation and no
 				// headroom: did the co-location actually blow the SLO?
-				actualTail := queueing.DegradedPercentile(cl.Percentile, cl.Mu, cl.Lambda, t.ActualDeg[i])
+				actualTail := queueing.DegradedPercentile(cl.Percentile, cl.Mu, cl.Lambda, t.ActualDeg[i]*scale)
 				g.violate[i] = !(actualTail <= cl.Budget)
 			}
 		}
