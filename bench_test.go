@@ -30,6 +30,7 @@ import (
 	"repro/internal/qosd"
 	"repro/internal/sim/engine"
 	"repro/internal/sim/isa"
+	"repro/internal/slo"
 	"repro/internal/surrogate"
 	"repro/internal/workload"
 	"repro/smite"
@@ -952,8 +953,8 @@ func BenchmarkQosdAdmit(b *testing.B) {
 	reg := qosd.NewRegistry()
 	reg.AddProfiles([]smite.Characterization{victim, aggr})
 	reg.SetModel(smite.NewModel(coef, 0.01))
-	slo := &qosd.SLOConfig{Classes: qosd.DefaultSLOClasses(), Headroom: 0.1}
-	ts := httptest.NewServer(qosd.NewServer(reg, qosd.Config{SLO: slo}).Handler())
+	cfg := &qosd.SLOConfig{Classes: slo.DefaultSLOClasses(), Headroom: 0.1}
+	ts := httptest.NewServer(qosd.NewServer(reg, qosd.Config{SLO: cfg}).Handler())
 	defer ts.Close()
 	c := qosd.NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
@@ -989,8 +990,8 @@ func BenchmarkQosdPredictHandler(b *testing.B) {
 // QosdPredictHandler. The CI bench regex selects it through its QosdAdmit
 // substring.
 func BenchmarkQosdAdmitHandler(b *testing.B) {
-	slo := &qosd.SLOConfig{Classes: qosd.DefaultSLOClasses(), Headroom: 0.1}
-	benchQosdHandler(b, qosd.Config{SLO: slo}, "/v1/admit", func(victim, aggressor string) string {
+	cfg := &qosd.SLOConfig{Classes: slo.DefaultSLOClasses(), Headroom: 0.1}
+	benchQosdHandler(b, qosd.Config{SLO: cfg}, "/v1/admit", func(victim, aggressor string) string {
 		return fmt.Sprintf(`{"victim":%q,"aggressor":%q,"class":"standard","queue":{"mu":1000,"lambda":600}}`,
 			victim, aggressor)
 	})

@@ -13,8 +13,8 @@ import (
 	"repro/internal/cluster"
 	clworkload "repro/internal/cluster/workload"
 	"repro/internal/isol"
-	"repro/internal/qosd"
 	"repro/internal/sim/isa"
+	"repro/internal/slo"
 )
 
 // FlagError reports a flag value that fails validation. main exits 2 on
@@ -99,11 +99,11 @@ func (o *simOptions) validate() error {
 		switch o.policy {
 		case "smite", "oracle", "random":
 		case "slo", "closedloop", "isolation":
-			slo, err := o.sloParams()
+			p, err := o.sloParams()
 			if err != nil {
 				return err
 			}
-			o.slo = slo
+			o.slo = p
 		default:
 			return &FlagError{Flag: "policy", Value: o.policy, Reason: "want smite, oracle, random, slo, closedloop or isolation"}
 		}
@@ -242,19 +242,19 @@ func parseIsolLadder(spec string) ([]isol.Setting, error) {
 
 // sloParams parses the -slo-* flags into simulation parameters, mapping
 // every malformed value onto a typed FlagError so smited and clustersim
-// agree on the class grammar (qosd.ParseSLOClasses) and on exiting 2.
+// agree on the class grammar (slo.ParseSLOClasses) and on exiting 2.
 func (o *simOptions) sloParams() (*cluster.SLOSimParams, error) {
-	classes, err := qosd.ParseSLOClasses(o.sloClasses)
+	classes, err := slo.ParseSLOClasses(o.sloClasses)
 	if err != nil {
 		return nil, &FlagError{Flag: "slo-classes", Value: o.sloClasses, Reason: err.Error()}
 	}
-	if o.sloHeadroom < 0 || o.sloHeadroom >= 1 {
-		return nil, &FlagError{Flag: "slo-headroom", Value: fmt.Sprint(o.sloHeadroom), Reason: "headroom must be in [0,1)"}
+	if err := slo.CheckHeadroom(o.sloHeadroom); err != nil {
+		return nil, &FlagError{Flag: "slo-headroom", Value: fmt.Sprint(o.sloHeadroom), Reason: err.Error()}
 	}
-	if o.sloMu <= 0 {
+	if !(o.sloMu > 0) {
 		return nil, &FlagError{Flag: "slo-mu", Value: fmt.Sprint(o.sloMu), Reason: "service rate must be positive"}
 	}
-	if o.sloLambda <= 0 {
+	if !(o.sloLambda > 0) {
 		return nil, &FlagError{Flag: "slo-lambda", Value: fmt.Sprint(o.sloLambda), Reason: "arrival rate must be positive"}
 	}
 	p := &cluster.SLOSimParams{Headroom: o.sloHeadroom}
@@ -263,9 +263,6 @@ func (o *simOptions) sloParams() (*cluster.SLOSimParams, error) {
 			Name: cl.Name, Budget: cl.Budget, Percentile: cl.Percentile,
 			Mu: o.sloMu, Lambda: o.sloLambda,
 		})
-	}
-	if err := p.Validate(); err != nil {
-		return nil, &FlagError{Flag: "slo-classes", Value: o.sloClasses, Reason: err.Error()}
 	}
 	return p, nil
 }

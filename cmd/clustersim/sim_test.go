@@ -40,7 +40,9 @@ func TestSimFlagValidation(t *testing.T) {
 		{"slo percentile out of range", []string{"-sim", "-policy", "slo", "-slo-classes", "a:20ms:1.5"}, "slo-classes"},
 		{"slo headroom one", []string{"-sim", "-policy", "slo", "-slo-headroom", "1"}, "slo-headroom"},
 		{"negative slo headroom", []string{"-sim", "-policy", "slo", "-slo-headroom", "-0.1"}, "slo-headroom"},
+		{"NaN slo headroom", []string{"-sim", "-policy", "slo", "-slo-headroom", "NaN"}, "slo-headroom"},
 		{"zero slo mu", []string{"-sim", "-policy", "slo", "-slo-mu", "0"}, "slo-mu"},
+		{"NaN slo mu", []string{"-sim", "-policy", "slo", "-slo-mu", "NaN"}, "slo-mu"},
 		{"zero slo lambda", []string{"-sim", "-policy", "slo", "-slo-lambda", "0"}, "slo-lambda"},
 		{"isol without policy", []string{"-sim", "-isol", "a:0.5:0.1"}, "isol"},
 		{"malformed isol entry", []string{"-sim", "-policy", "isolation", "-isol", "a:0.5"}, "isol"},

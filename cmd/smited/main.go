@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/qosd"
+	"repro/internal/slo"
 	"repro/internal/version"
 	"repro/smite"
 )
@@ -164,17 +165,14 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		return cfg, errors.New("-surrogate-threshold is set but no -surrogate file is given")
 	}
 	if cfg.sloConfig != "" {
-		classes, err := qosd.ParseSLOClasses(cfg.sloConfig)
+		classes, err := slo.ParseSLOClasses(cfg.sloConfig)
 		if err != nil {
 			return cfg, &FlagError{Flag: "slo-config", Value: cfg.sloConfig, Reason: err.Error()}
 		}
-		if cfg.sloHeadroom < 0 || cfg.sloHeadroom >= 1 {
-			return cfg, &FlagError{Flag: "slo-headroom", Value: fmt.Sprint(cfg.sloHeadroom), Reason: "headroom must be in [0,1)"}
+		if err := slo.CheckHeadroom(cfg.sloHeadroom); err != nil {
+			return cfg, &FlagError{Flag: "slo-headroom", Value: fmt.Sprint(cfg.sloHeadroom), Reason: err.Error()}
 		}
 		cfg.slo = &qosd.SLOConfig{Classes: classes, Headroom: cfg.sloHeadroom}
-		if err := cfg.slo.Validate(); err != nil {
-			return cfg, &FlagError{Flag: "slo-config", Value: cfg.sloConfig, Reason: err.Error()}
-		}
 	}
 	return cfg, nil
 }

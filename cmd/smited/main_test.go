@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/qosd"
+	"repro/internal/slo"
 	"repro/internal/surrogate"
 	"repro/smite"
 )
@@ -94,6 +95,7 @@ func TestFlagValidation(t *testing.T) {
 		{"duplicate slo class", []string{"-profiles", profiles, "-slo-config", "a:20ms,a:40ms"}, "invalid -slo-config"},
 		{"slo percentile out of range", []string{"-profiles", profiles, "-slo-config", "a:20ms:2"}, "invalid -slo-config"},
 		{"slo headroom out of range", []string{"-profiles", profiles, "-slo-config", "a:20ms", "-slo-headroom", "1"}, "invalid -slo-headroom"},
+		{"NaN slo headroom", []string{"-profiles", profiles, "-slo-config", "a:20ms", "-slo-headroom", "NaN"}, "invalid -slo-headroom"},
 	}
 	_ = model
 	for _, tc := range cases {
@@ -480,7 +482,7 @@ func TestSLOAdmitEndToEnd(t *testing.T) {
 		if !ok {
 			t.Fatalf("class %s missing from parsed config", class)
 		}
-		want := qosd.EvaluateAdmission(pred.Degradation, pred.ErrorBound,
+		want := slo.EvaluateAdmission(pred.Degradation, pred.ErrorBound,
 			queue.Mu, queue.Lambda, wantClass, cfg.slo.Headroom)
 		if got.Admitted != want.Admitted || got.Reason != string(want.Reason) {
 			t.Errorf("class %s: served (%v, %s), in-process math says (%v, %s)",

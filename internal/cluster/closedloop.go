@@ -6,8 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/ctrl/drift"
-	"repro/internal/qosd"
-	"repro/internal/queueing"
+	"repro/internal/slo"
 )
 
 // This file closes the loop inside the discrete-event simulator
@@ -17,7 +16,7 @@ import (
 // detector (internal/ctrl/drift) over its observed-vs-predicted
 // degradations, re-characterizes confirmed (lat, batch) pairs against the
 // measured surface, re-scores its admission gate through the same
-// qosd.EvaluateAdmission check the static gate was built with, and
+// slo.EvaluateAdmission check the static gate was built with, and
 // migrates the worst-offending machine's newest instance off the drifted
 // cell. Everything is shard-local and event-ordered, so runs stay
 // bit-identical at any worker count.
@@ -97,8 +96,7 @@ func buildDriftWorld(t *PredTable, p *SLOSimParams, spec *DriftSpec, target floa
 					qos = clamp01(1 - (1-qos)*spec.Factor)
 				}
 				if p != nil {
-					actualTail := queueing.DegradedPercentile(cl.Percentile, cl.Mu, cl.Lambda, w.actualDeg[i])
-					w.violate[i] = !(actualTail <= cl.Budget)
+					w.violate[i] = cl.violated(w.actualDeg[i])
 				} else {
 					w.violate[i] = qos < target
 				}
@@ -175,18 +173,18 @@ func (cl *closedLoop) placed(local int32, b, cell int, at float64) {
 // recharacterize refreshes a confirmed pair's whole instance-count column
 // against the measured surface — the simulator's analogue of routing the
 // flagged app back through the characterization sweep — and re-scores the
-// admission gate with the same qosd check the static gate used, now with
+// admission gate with the same slo check the static gate used, now with
 // a zero bound (the refreshed cells are measured, not predicted).
 func (cl *closedLoop) recharacterize(lat, b int, at float64) {
 	s := cl.s
 	p := s.cfg.SLO
-	slo := p.classFor(lat)
-	class := qosd.SLOClass{Name: slo.Name, Budget: slo.Budget, Percentile: slo.Percentile}
+	cls := p.classFor(lat)
+	class := cls.Class()
 	for n := 1; n <= s.maxInst; n++ {
 		i := s.t.Cell(lat, b, n)
 		cl.predDeg[i] = s.actualDegAt(at, i)
 		cl.predBound[i] = 0
-		dec := qosd.EvaluateAdmission(cl.predDeg[i], 0, slo.Mu, slo.Lambda, class, p.Headroom)
+		dec := slo.EvaluateAdmission(cl.predDeg[i], 0, cls.Mu, cls.Lambda, class, p.Headroom)
 		cl.cur.admit[i] = dec.Admitted
 		cl.cur.slack[i] = dec.EffectiveBudget - dec.Tail
 	}

@@ -152,7 +152,7 @@ type tierState struct {
 // consumers can tell pre- from post-refresh answers by Prediction.Gen.
 type TieredPredictor struct {
 	// Threshold is the largest surrogate error bound served before
-	// falling back; zero means DefaultTierThreshold.
+	// falling back; zero means surrogate.DefaultThreshold.
 	Threshold float64
 	// Fallback answers when the surrogate bound is too loose or the
 	// surrogate has no model for an application.
@@ -161,12 +161,8 @@ type TieredPredictor struct {
 	state atomic.Pointer[tierState]
 }
 
-// DefaultTierThreshold matches qosd.DefaultSurrogateThreshold: bounds
-// above five degradation points fall back to measured predictions.
-const DefaultTierThreshold = 0.05
-
 // NewTieredPredictor builds the two-tier predictor: sur answers when its
-// bound clears the threshold (DefaultTierThreshold; adjust via the
+// bound clears the threshold (surrogate.DefaultThreshold; adjust via the
 // Threshold field before first use), fallback otherwise. The initial
 // surrogate state is generation 1.
 func NewTieredPredictor(sur *SurrogatePredictor, fallback Predictor) *TieredPredictor {
@@ -254,7 +250,7 @@ func (t *TieredPredictor) SwapModels(models map[string]*surrogate.Model) uint64 
 func (t *TieredPredictor) Predict(lat, batch string, n int) (Prediction, error) {
 	thr := t.Threshold
 	if thr <= 0 {
-		thr = DefaultTierThreshold
+		thr = surrogate.DefaultThreshold
 	}
 	st := t.state.Load()
 	var gen uint64

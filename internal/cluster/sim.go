@@ -104,7 +104,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	if c.Shards == 0 {
 		c.Shards = DefaultShards
 	}
-	c.SLO = c.SLO.withDefaults()
 	if spec, _ := policyOf(c.Policy); spec.ladder {
 		c.Isol = c.Isol.withDefaults()
 	}
@@ -329,8 +328,8 @@ type SimResult struct {
 	IsolationLevels   int
 	IsolationTax      float64
 
-	// SLOParams echoes the run's (normalised) SLO parameters, nil for
-	// QoS-floor runs; Summary reads its saturation thresholds.
+	// SLOParams echoes the run's SLO parameters, nil for QoS-floor runs;
+	// Summary reads its saturation thresholds.
 	SLOParams *SLOSimParams
 
 	// Log is the merged placement log, ordered by (At, Shard, Seq).

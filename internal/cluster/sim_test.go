@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -346,7 +347,7 @@ func TestSimSLOPolicy(t *testing.T) {
 	}
 
 	// The admission contract: no placement on an inadmissible cell.
-	gate, err := buildSLOGate(cfg.Table, cfg.SLO.withDefaults(), 1)
+	gate, err := buildSLOGate(cfg.Table, cfg.SLO, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,6 +407,16 @@ func TestSimSLOValidation(t *testing.T) {
 	cfg.SLO.Headroom = 1
 	if err := cfg.Validate(); err == nil {
 		t.Error("headroom 1 accepted")
+	}
+	cfg.SLO = sloSimParams()
+	cfg.SLO.Classes[0].Percentile = math.NaN()
+	if err := cfg.Validate(); err == nil {
+		t.Error("NaN percentile accepted")
+	}
+	cfg.SLO = sloSimParams()
+	cfg.SLO.Classes[0].Mu = math.NaN()
+	if err := cfg.Validate(); err == nil {
+		t.Error("NaN service rate accepted")
 	}
 	// Legacy tables without the degradation surface cannot be SLO-gated.
 	cfg.SLO = sloSimParams()

@@ -2,13 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/qosd"
 	"repro/internal/queueing"
+	"repro/internal/slo"
 )
 
-// This file wires qosd's predictive SLO admission gate (DESIGN.md §13)
+// This file wires the predictive SLO admission gate (DESIGN.md §13)
 // into the discrete-event simulator as PolicySLO: instead of a QoS-floor
 // best-fit, placements are admitted against per-class tail-latency
 // budgets using the error-bound-inflated Eq. 6 estimate — exactly the
@@ -16,7 +15,7 @@ import (
 // the event loop stays pure array lookups.
 
 // SLOSimClass maps one latency application population onto an SLO class:
-// the qosd budget/percentile pair plus the service's M/M/1 rates, which
+// the slo budget/percentile pair plus the service's M/M/1 rates, which
 // the serving daemon receives per-request but the simulator must fix up
 // front.
 type SLOSimClass struct {
@@ -38,23 +37,9 @@ type SLOSimParams struct {
 	// (violation accounting uses the full budget).
 	Headroom float64 `json:"headroom"`
 	// ScaleUpThreshold / ScaleDownThreshold parameterise the Summary's
-	// saturation signal; zero picks qosd's defaults.
+	// saturation signal; zero picks slo's defaults.
 	ScaleUpThreshold   float64 `json:"scale_up_threshold,omitempty"`
 	ScaleDownThreshold float64 `json:"scale_down_threshold,omitempty"`
-}
-
-func (p *SLOSimParams) withDefaults() *SLOSimParams {
-	if p == nil {
-		return nil
-	}
-	q := *p
-	if q.ScaleUpThreshold == 0 {
-		q.ScaleUpThreshold = qosd.DefaultScaleUpThreshold
-	}
-	if q.ScaleDownThreshold == 0 {
-		q.ScaleDownThreshold = qosd.DefaultScaleDownThreshold
-	}
-	return &q
 }
 
 // Validate rejects parameter sets the gate cannot evaluate.
@@ -62,43 +47,27 @@ func (p *SLOSimParams) Validate() error {
 	if p == nil {
 		return fmt.Errorf("cluster: SLO policy needs SLO parameters")
 	}
-	if len(p.Classes) == 0 {
-		return fmt.Errorf("cluster: SLO parameters need at least one class")
-	}
-	seen := make(map[string]bool, len(p.Classes))
-	for _, cl := range p.Classes {
-		if cl.Name == "" {
-			return fmt.Errorf("cluster: SLO class with empty name")
-		}
-		if seen[cl.Name] {
-			return fmt.Errorf("cluster: duplicate SLO class %q", cl.Name)
-		}
-		seen[cl.Name] = true
-		if !(cl.Budget > 0) || math.IsInf(cl.Budget, 0) {
-			return fmt.Errorf("cluster: SLO class %q budget %g must be positive and finite", cl.Name, cl.Budget)
-		}
-		if cl.Percentile <= 0 || cl.Percentile >= 1 {
-			return fmt.Errorf("cluster: SLO class %q percentile %g outside (0,1)", cl.Name, cl.Percentile)
-		}
-		if cl.Mu <= 0 || cl.Lambda <= 0 {
+	classes := make([]slo.SLOClass, len(p.Classes))
+	for i, cl := range p.Classes {
+		if !(cl.Mu > 0 && cl.Lambda > 0) {
 			return fmt.Errorf("cluster: SLO class %q queue rates must be positive (mu=%g, lambda=%g)",
 				cl.Name, cl.Mu, cl.Lambda)
 		}
+		classes[i] = cl.Class()
 	}
-	if p.Headroom < 0 || p.Headroom >= 1 || math.IsNaN(p.Headroom) {
-		return fmt.Errorf("cluster: SLO headroom %g outside [0,1)", p.Headroom)
-	}
-	up, down := p.ScaleUpThreshold, p.ScaleDownThreshold
-	if up == 0 {
-		up = qosd.DefaultScaleUpThreshold
-	}
-	if down == 0 {
-		down = qosd.DefaultScaleDownThreshold
-	}
-	if up <= down {
-		return fmt.Errorf("cluster: scale-up threshold %g must exceed scale-down threshold %g", up, down)
-	}
-	return nil
+	return slo.Validate(classes, p.Headroom, p.ScaleUpThreshold, p.ScaleDownThreshold)
+}
+
+// Class is the admission class the gate checks c against.
+func (c SLOSimClass) Class() slo.SLOClass {
+	return slo.SLOClass{Name: c.Name, Budget: c.Budget, Percentile: c.Percentile}
+}
+
+// violated reports whether a measured degradation blows the class SLO:
+// the Eq. 6 tail at the true degradation, with no bound inflation and no
+// headroom, against the full budget.
+func (c SLOSimClass) violated(actualDeg float64) bool {
+	return !(queueing.DegradedPercentile(c.Percentile, c.Mu, c.Lambda, actualDeg) <= c.Budget)
 }
 
 // classFor returns the class assigned to latency application index lat.
@@ -134,18 +103,14 @@ func buildSLOGate(t *PredTable, p *SLOSimParams, scale float64) (*sloGate, error
 	}
 	for l := 0; l < len(t.LatencyApps); l++ {
 		cl := p.classFor(l)
-		class := qosd.SLOClass{Name: cl.Name, Budget: cl.Budget, Percentile: cl.Percentile}
+		class := cl.Class()
 		for b := 0; b < len(t.BatchApps); b++ {
 			for n := 1; n <= t.MaxInstances; n++ {
 				i := t.Cell(l, b, n)
-				dec := qosd.EvaluateAdmission(t.PredDeg[i]*scale, t.PredBound[i]*scale, cl.Mu, cl.Lambda, class, p.Headroom)
+				dec := slo.EvaluateAdmission(t.PredDeg[i]*scale, t.PredBound[i]*scale, cl.Mu, cl.Lambda, class, p.Headroom)
 				g.admit[i] = dec.Admitted
 				g.slack[i] = dec.EffectiveBudget - dec.Tail
-				// Violations are measured against the full budget at the
-				// true degradation, with no bound inflation and no
-				// headroom: did the co-location actually blow the SLO?
-				actualTail := queueing.DegradedPercentile(cl.Percentile, cl.Mu, cl.Lambda, t.ActualDeg[i]*scale)
-				g.violate[i] = !(actualTail <= cl.Budget)
+				g.violate[i] = cl.violated(t.ActualDeg[i] * scale)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 package cluster
 
-import "repro/internal/qosd"
+import "repro/internal/slo"
 
 // Summary is the stable machine-readable aggregate of a discrete-event
 // run, emitted by `clustersim -summary-json`. Its schema is versioned and
@@ -89,7 +89,7 @@ type ClosedLoopSummary struct {
 	MigrationsFailed int `json:"migrations_failed"`
 }
 
-// SaturationSummary mirrors qosd.SaturationReport for a whole simulated
+// SaturationSummary mirrors qosd's SaturationReport for a whole simulated
 // run.
 type SaturationSummary struct {
 	// RejectionFrac is rejected arrivals over all arrivals.
@@ -136,14 +136,15 @@ func (r SimResult) Summary() Summary {
 	s.Utilization.Peak = r.PeakUtilization
 	s.SLO.Violations = r.Violations
 	s.SLO.ViolationFrac = r.ViolationFrac
-	up, down := qosd.DefaultScaleUpThreshold, qosd.DefaultScaleDownThreshold
+	var up, down float64
 	if r.SLOParams != nil {
 		up, down = r.SLOParams.ScaleUpThreshold, r.SLOParams.ScaleDownThreshold
 	}
+	up, down = slo.Thresholds(up, down)
 	if r.Arrived > 0 {
 		s.Saturation.RejectionFrac = float64(r.Rejected) / float64(r.Arrived)
 	}
-	s.Saturation.Signal = qosd.SaturationSignal(s.Saturation.RejectionFrac, up, down)
+	s.Saturation.Signal = slo.SaturationSignal(s.Saturation.RejectionFrac, up, down)
 	s.Saturation.ScaleUpThreshold = up
 	s.Saturation.ScaleDownThreshold = down
 	if r.Policy == PolicyClosedLoop {

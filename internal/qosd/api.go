@@ -194,7 +194,7 @@ type AdmitResponse struct {
 	Victim    string `json:"victim"`
 	Aggressor string `json:"aggressor"`
 	Class     string `json:"class"`
-	// Admitted is the decision; Reason is one of the AdmitReason*
+	// Admitted is the decision; Reason is one of the slo.AdmitReason*
 	// constants ("ok", "budget_exceeded", "saturated").
 	Admitted bool   `json:"admitted"`
 	Reason   string `json:"reason"`

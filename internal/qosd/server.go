@@ -18,7 +18,9 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/queueing"
 	"repro/internal/service"
+	"repro/internal/slo"
 	"repro/internal/stats"
+	"repro/internal/surrogate"
 	"repro/smite"
 )
 
@@ -65,7 +67,7 @@ type Config struct {
 	// SurrogateThreshold is the largest surrogate error bound the daemon
 	// will serve: an answer whose bound is exactly the threshold is still
 	// served from the surrogate tier, one strictly above it falls back to
-	// the engine tier. 0 means DefaultSurrogateThreshold; a negative value
+	// the engine tier. 0 means surrogate.DefaultThreshold; a negative value
 	// disables the surrogate tier outright (no bound is below it).
 	SurrogateThreshold float64
 	// SLO, when set, enables POST /v1/admit: predictive admission control
@@ -73,11 +75,6 @@ type Config struct {
 	// the endpoint mounted but answering 501 slo_disabled.
 	SLO *SLOConfig
 }
-
-// DefaultSurrogateThreshold is the default accuracy budget of the
-// surrogate tier: bounds above five degradation points fall back to the
-// engine tier.
-const DefaultSurrogateThreshold = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -90,11 +87,11 @@ func (c Config) withDefaults() Config {
 	// threshold is a request to disable the surrogate tier (no error bound
 	// is ever negative), not a mistake to paper over.
 	if c.SurrogateThreshold == 0 {
-		c.SurrogateThreshold = DefaultSurrogateThreshold
+		c.SurrogateThreshold = surrogate.DefaultThreshold
 	}
 	if c.SLO != nil {
-		slo := c.SLO.withDefaults()
-		c.SLO = &slo
+		cfg := c.SLO.withDefaults()
+		c.SLO = &cfg
 	}
 	return c
 }
@@ -198,10 +195,10 @@ func (s *Server) registerGauges() {
 			"Saturation signal: 1 scale-up, 0 steady, -1 scale-down.",
 			func() float64 {
 				rate, _ := s.slo.rejectionRate()
-				switch SaturationSignal(rate, s.cfg.SLO.ScaleUpThreshold, s.cfg.SLO.ScaleDownThreshold) {
-				case SignalScaleUp:
+				switch slo.SaturationSignal(rate, s.cfg.SLO.ScaleUpThreshold, s.cfg.SLO.ScaleDownThreshold) {
+				case slo.SignalScaleUp:
 					return 1
-				case SignalScaleDown:
+				case slo.SignalScaleDown:
 					return -1
 				}
 				return 0
@@ -615,7 +612,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	dec := EvaluateAdmission(pred.deg, pred.bound, req.Queue.Mu, req.Queue.Lambda, class, s.cfg.SLO.Headroom)
+	dec := slo.EvaluateAdmission(pred.deg, pred.bound, req.Queue.Mu, req.Queue.Lambda, class, s.cfg.SLO.Headroom)
 	s.slo.record(class.Name, dec.Admitted)
 	if s.metrics.admits != nil {
 		outcome := "admitted"

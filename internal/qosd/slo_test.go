@@ -8,15 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/isol"
+	"repro/internal/slo"
 )
 
 func TestParseSLOClasses(t *testing.T) {
 	t.Run("canonical spec", func(t *testing.T) {
-		classes, err := ParseSLOClasses("critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90")
+		classes, err := slo.ParseSLOClasses("critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90")
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := DefaultSLOClasses()
+		want := slo.DefaultSLOClasses()
 		if len(classes) != len(want) {
 			t.Fatalf("parsed %d classes, want %d", len(classes), len(want))
 		}
@@ -27,7 +28,7 @@ func TestParseSLOClasses(t *testing.T) {
 		}
 	})
 	t.Run("percentile defaults", func(t *testing.T) {
-		classes, err := ParseSLOClasses("gold: 1500ms ")
+		classes, err := slo.ParseSLOClasses("gold: 1500ms ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,12 +54,13 @@ func TestParseSLOClasses(t *testing.T) {
 		{"bad percentile", "a:20ms:fast", "percentile"},
 		{"percentile zero", "a:20ms:0", "outside (0,1)"},
 		{"percentile one", "a:20ms:1", "outside (0,1)"},
+		{"percentile NaN", "a:20ms:NaN", "outside (0,1)"},
 	}
 	for _, tc := range malformed {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseSLOClasses(tc.spec)
+			_, err := slo.ParseSLOClasses(tc.spec)
 			if err == nil || !strings.Contains(err.Error(), tc.frag) {
-				t.Errorf("ParseSLOClasses(%q) = %v, want mention of %q", tc.spec, err, tc.frag)
+				t.Errorf("slo.ParseSLOClasses(%q) = %v, want mention of %q", tc.spec, err, tc.frag)
 			}
 		})
 	}
@@ -66,7 +68,7 @@ func TestParseSLOClasses(t *testing.T) {
 
 func TestSLOConfigValidate(t *testing.T) {
 	base := func() SLOConfig {
-		return SLOConfig{Classes: DefaultSLOClasses()}.withDefaults()
+		return SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults()
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
@@ -81,6 +83,7 @@ func TestSLOConfigValidate(t *testing.T) {
 		{"infinite budget", func(c *SLOConfig) { c.Classes[0].Budget = math.Inf(1) }},
 		{"NaN budget", func(c *SLOConfig) { c.Classes[0].Budget = math.NaN() }},
 		{"percentile at one", func(c *SLOConfig) { c.Classes[0].Percentile = 1 }},
+		{"NaN percentile", func(c *SLOConfig) { c.Classes[0].Percentile = math.NaN() }},
 		{"negative headroom", func(c *SLOConfig) { c.Headroom = -0.1 }},
 		{"headroom at one", func(c *SLOConfig) { c.Headroom = 1 }},
 		{"thresholds inverted", func(c *SLOConfig) { c.ScaleUpThreshold, c.ScaleDownThreshold = 0.05, 0.2 }},
@@ -97,12 +100,12 @@ func TestSLOConfigValidate(t *testing.T) {
 }
 
 func TestEvaluateAdmission(t *testing.T) {
-	class := SLOClass{Name: "critical", Budget: 0.020, Percentile: 0.95}
+	class := slo.SLOClass{Name: "critical", Budget: 0.020, Percentile: 0.95}
 	// Solo tail at mu=1000, lambda=600: -ln(0.05)/400 ≈ 7.5ms, well under
 	// the 18ms effective budget at 10% headroom.
 	t.Run("clean admit", func(t *testing.T) {
-		d := EvaluateAdmission(0.05, 0, 1000, 600, class, 0.1)
-		if !d.Admitted || d.Reason != AdmitReasonOK || d.Saturated {
+		d := slo.EvaluateAdmission(0.05, 0, 1000, 600, class, 0.1)
+		if !d.Admitted || d.Reason != slo.AdmitReasonOK || d.Saturated {
 			t.Fatalf("decision %+v", d)
 		}
 		if math.Abs(d.EffectiveBudget-0.018) > 1e-12 {
@@ -114,19 +117,19 @@ func TestEvaluateAdmission(t *testing.T) {
 	})
 	t.Run("budget exceeded", func(t *testing.T) {
 		// deg 0.3 leaves mu' = 700: tail ≈ 3.0/100 = 30ms > 18ms.
-		d := EvaluateAdmission(0.3, 0, 1000, 600, class, 0.1)
-		if d.Admitted || d.Reason != AdmitReasonBudgetExceeded || d.Saturated {
+		d := slo.EvaluateAdmission(0.3, 0, 1000, 600, class, 0.1)
+		if d.Admitted || d.Reason != slo.AdmitReasonBudgetExceeded || d.Saturated {
 			t.Fatalf("decision %+v", d)
 		}
 	})
 	t.Run("bound inflation flips the decision", func(t *testing.T) {
 		// deg 0.2 alone admits (mu'=800, tail ≈ 15ms); a 0.1 bound pushes
 		// the effective degradation to 0.3 and the tail past the budget.
-		clean := EvaluateAdmission(0.2, 0, 1000, 600, class, 0.1)
+		clean := slo.EvaluateAdmission(0.2, 0, 1000, 600, class, 0.1)
 		if !clean.Admitted {
 			t.Fatalf("unbounded decision %+v", clean)
 		}
-		inflated := EvaluateAdmission(0.2, 0.1, 1000, 600, class, 0.1)
+		inflated := slo.EvaluateAdmission(0.2, 0.1, 1000, 600, class, 0.1)
 		if inflated.Admitted || math.Abs(inflated.EffectiveDegradation-0.3) > 1e-12 {
 			t.Fatalf("inflated decision %+v", inflated)
 		}
@@ -134,8 +137,8 @@ func TestEvaluateAdmission(t *testing.T) {
 	t.Run("saturated never admits", func(t *testing.T) {
 		for _, deg := range []float64{0.4, 1.0, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 			// deg 0.4 at mu=1000, lambda=600 puts mu' exactly at lambda.
-			d := EvaluateAdmission(deg, 0, 1000, 600, class, 0.1)
-			if d.Admitted || !d.Saturated || d.Reason != AdmitReasonSaturated {
+			d := slo.EvaluateAdmission(deg, 0, 1000, 600, class, 0.1)
+			if d.Admitted || !d.Saturated || d.Reason != slo.AdmitReasonSaturated {
 				t.Errorf("deg=%v: decision %+v", deg, d)
 			}
 			if !math.IsInf(d.Tail, 1) {
@@ -144,14 +147,14 @@ func TestEvaluateAdmission(t *testing.T) {
 		}
 	})
 	t.Run("zero headroom uses the full budget", func(t *testing.T) {
-		d := EvaluateAdmission(0.05, 0, 1000, 600, class, 0)
+		d := slo.EvaluateAdmission(0.05, 0, 1000, 600, class, 0)
 		if d.EffectiveBudget != class.Budget {
 			t.Errorf("effective budget %g, want %g", d.EffectiveBudget, class.Budget)
 		}
 	})
 	t.Run("garbage headroom clamps to zero", func(t *testing.T) {
 		for _, h := range []float64{-0.5, math.NaN()} {
-			d := EvaluateAdmission(0.05, 0, 1000, 600, class, h)
+			d := slo.EvaluateAdmission(0.05, 0, 1000, 600, class, h)
 			if d.EffectiveBudget != class.Budget {
 				t.Errorf("headroom %v: effective budget %g, want %g", h, d.EffectiveBudget, class.Budget)
 			}
@@ -160,11 +163,11 @@ func TestEvaluateAdmission(t *testing.T) {
 }
 
 func TestSuggestIsolation(t *testing.T) {
-	class := SLOClass{Name: "critical", Budget: 0.020, Percentile: 0.95}
+	class := slo.SLOClass{Name: "critical", Budget: 0.020, Percentile: 0.95}
 	t.Run("rejection remedied by the weakest clearing level", func(t *testing.T) {
 		// deg 0.3 is rejected outright (tail ≈ 30ms > 18ms); ways-half
 		// scales it to 0.21 (mu'=790, tail ≈ 15.8ms), which fits.
-		base := EvaluateAdmission(0.3, 0, 1000, 600, class, 0.1)
+		base := slo.EvaluateAdmission(0.3, 0, 1000, 600, class, 0.1)
 		if base.Admitted {
 			t.Fatalf("base decision %+v", base)
 		}
@@ -175,7 +178,7 @@ func TestSuggestIsolation(t *testing.T) {
 		if rem.Level != 1 || rem.Setting.Name != "ways-half" {
 			t.Errorf("remedy %+v, want level 1 (ways-half)", rem)
 		}
-		check := EvaluateAdmission(0.3*rem.Setting.DegScale, 0, 1000, 600, class, 0.1)
+		check := slo.EvaluateAdmission(0.3*rem.Setting.DegScale, 0, 1000, 600, class, 0.1)
 		if !check.Admitted || check.Tail != rem.TailLatency || check.EffectiveDegradation != rem.EffectiveDegradation {
 			t.Errorf("remedy numbers %+v do not match re-evaluation %+v", rem, check)
 		}
@@ -198,7 +201,7 @@ func TestSuggestIsolation(t *testing.T) {
 			t.Errorf("unrecoverable rejection got remedy %+v", rem)
 		}
 		// A looser class recovers at the clamp level.
-		loose := SLOClass{Name: "standard", Budget: 0.060, Percentile: 0.95}
+		loose := slo.SLOClass{Name: "standard", Budget: 0.060, Percentile: 0.95}
 		rem := SuggestIsolation(0.9, 0, 1000, 600, loose, 0.1, nil)
 		if rem == nil || rem.Setting.Name != "clamp" {
 			t.Fatalf("remedy %+v, want clamp", rem)
@@ -217,28 +220,28 @@ func TestSaturationSignal(t *testing.T) {
 		rate float64
 		want string
 	}{
-		{0, SignalScaleDown},
-		{0.05, SignalScaleDown}, // at the scale-down threshold
-		{0.051, SignalSteady},
-		{0.19, SignalSteady},
-		{0.2, SignalScaleUp}, // at the scale-up threshold
-		{0.9, SignalScaleUp},
+		{0, slo.SignalScaleDown},
+		{0.05, slo.SignalScaleDown}, // at the scale-down threshold
+		{0.051, slo.SignalSteady},
+		{0.19, slo.SignalSteady},
+		{0.2, slo.SignalScaleUp}, // at the scale-up threshold
+		{0.9, slo.SignalScaleUp},
 	}
 	for _, tc := range cases {
-		if got := SaturationSignal(tc.rate, 0.2, 0.05); got != tc.want {
-			t.Errorf("SaturationSignal(%g) = %s, want %s", tc.rate, got, tc.want)
+		if got := slo.SaturationSignal(tc.rate, 0.2, 0.05); got != tc.want {
+			t.Errorf("slo.SaturationSignal(%g) = %s, want %s", tc.rate, got, tc.want)
 		}
 	}
 }
 
 // TestAdmitEndToEnd drives POST /v1/admit against the in-process
 // admission math: for every class the served decision must equal
-// EvaluateAdmission on the served prediction, and the acceptance
+// slo.EvaluateAdmission on the served prediction, and the acceptance
 // property holds — no co-location whose inflated tail exceeds the
 // effective class budget is ever admitted.
 func TestAdmitEndToEnd(t *testing.T) {
-	slo := &SLOConfig{Classes: DefaultSLOClasses(), Headroom: 0.1}
-	s, c := newTestServer(t, Config{SLO: slo})
+	cfg := &SLOConfig{Classes: slo.DefaultSLOClasses(), Headroom: 0.1}
+	s, c := newTestServer(t, Config{SLO: cfg})
 	ctx := context.Background()
 
 	pred, err := c.Predict(ctx, PredictRequest{Victim: "web-search", Aggressor: "429.mcf"})
@@ -259,7 +262,7 @@ func TestAdmitEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s mu=%g lambda=%g: %v", class.Name, q.Mu, q.Lambda, err)
 			}
-			want := EvaluateAdmission(pred.Degradation, pred.ErrorBound, q.Mu, q.Lambda, class, s.cfg.SLO.Headroom)
+			want := slo.EvaluateAdmission(pred.Degradation, pred.ErrorBound, q.Mu, q.Lambda, class, s.cfg.SLO.Headroom)
 			if got.Admitted != want.Admitted || got.Reason != want.Reason || got.Saturated != want.Saturated {
 				t.Errorf("%s mu=%g lambda=%g: served (%v,%s,sat=%v), want (%v,%s,sat=%v)",
 					class.Name, q.Mu, q.Lambda,
@@ -276,7 +279,7 @@ func TestAdmitEndToEnd(t *testing.T) {
 			if got.Admitted && (got.TailLatency == nil || *got.TailLatency > got.EffectiveBudget) {
 				t.Errorf("%s mu=%g lambda=%g: admitted over budget: %+v", class.Name, q.Mu, q.Lambda, got)
 			}
-			if !got.Admitted && got.Reason == string(AdmitReasonOK) {
+			if !got.Admitted && got.Reason == string(slo.AdmitReasonOK) {
 				t.Errorf("rejection carries reason ok: %+v", got)
 			}
 			if got.Saturated && got.TailLatency != nil {
@@ -289,7 +292,7 @@ func TestAdmitEndToEnd(t *testing.T) {
 			}
 			if rem := got.IsolationRemedy; rem != nil {
 				scale := rem.Setting.DegScale
-				check := EvaluateAdmission(pred.Degradation*scale, pred.ErrorBound*scale,
+				check := slo.EvaluateAdmission(pred.Degradation*scale, pred.ErrorBound*scale,
 					q.Mu, q.Lambda, class, s.cfg.SLO.Headroom)
 				if !check.Admitted {
 					t.Errorf("%s mu=%g lambda=%g: remedy level %d does not admit: %+v",
@@ -307,8 +310,8 @@ func TestAdmitEndToEnd(t *testing.T) {
 func TestAdmitSurrogateBoundInflates(t *testing.T) {
 	// A large recorded curve error makes the bound dominate the check.
 	set := testSurrogate(0.5)
-	slo := &SLOConfig{Classes: []SLOClass{{Name: "critical", Budget: 0.020, Percentile: 0.95}}}
-	_, c := newTestServer(t, Config{Surrogate: set, SurrogateThreshold: 100, SLO: slo})
+	cfg := &SLOConfig{Classes: []slo.SLOClass{{Name: "critical", Budget: 0.020, Percentile: 0.95}}}
+	_, c := newTestServer(t, Config{Surrogate: set, SurrogateThreshold: 100, SLO: cfg})
 	ctx := context.Background()
 	queue := QueueSpec{Mu: 1000, Lambda: 600}
 
@@ -331,7 +334,7 @@ func TestAdmitSurrogateBoundInflates(t *testing.T) {
 
 	// The same pair through an engine-only daemon carries no bound and is
 	// admitted: the inflation, not the prediction, flipped the decision.
-	_, engineClient := newTestServer(t, Config{SLO: slo})
+	_, engineClient := newTestServer(t, Config{SLO: cfg})
 	eng, err := engineClient.Admit(ctx, AdmitRequest{
 		Victim: "web-search", Aggressor: "429.mcf", Class: "critical", Queue: queue,
 	})
@@ -348,8 +351,8 @@ func TestAdmitSurrogateBoundInflates(t *testing.T) {
 
 // TestAdmitRequestValidation pins the error surface of /v1/admit.
 func TestAdmitRequestValidation(t *testing.T) {
-	slo := &SLOConfig{Classes: DefaultSLOClasses()}
-	_, c := newTestServer(t, Config{SLO: slo})
+	cfg := &SLOConfig{Classes: slo.DefaultSLOClasses()}
+	_, c := newTestServer(t, Config{SLO: cfg})
 	ctx := context.Background()
 	queue := QueueSpec{Mu: 1000, Lambda: 600}
 
@@ -394,11 +397,11 @@ func TestAdmitDisabled(t *testing.T) {
 // TestAdmitMetrics pins the analyzer surface: per-class counters, the
 // windowed rejection rate, and the saturation signal on /metrics.
 func TestAdmitMetrics(t *testing.T) {
-	slo := &SLOConfig{
-		Classes: []SLOClass{{Name: "critical", Budget: 0.020, Percentile: 0.95}},
+	cfg := &SLOConfig{
+		Classes: []slo.SLOClass{{Name: "critical", Budget: 0.020, Percentile: 0.95}},
 		Window:  8,
 	}
-	_, c := newTestServer(t, Config{SLO: slo})
+	_, c := newTestServer(t, Config{SLO: cfg})
 	ctx := context.Background()
 
 	admits, rejects := 0, 0
@@ -438,7 +441,7 @@ func TestAdmitMetrics(t *testing.T) {
 	if m.SLO.Saturation.RejectionRate != wantRate {
 		t.Errorf("rejection rate %g, want %g", m.SLO.Saturation.RejectionRate, wantRate)
 	}
-	wantSignal := SaturationSignal(wantRate, m.SLO.Saturation.ScaleUpThreshold, m.SLO.Saturation.ScaleDownThreshold)
+	wantSignal := slo.SaturationSignal(wantRate, m.SLO.Saturation.ScaleUpThreshold, m.SLO.Saturation.ScaleDownThreshold)
 	if m.SLO.Saturation.Signal != wantSignal {
 		t.Errorf("signal %q, want %q", m.SLO.Saturation.Signal, wantSignal)
 	}
@@ -463,9 +466,9 @@ func TestAdmitMetrics(t *testing.T) {
 // actually observed, not the ring capacity. Before the fix a
 // freshly-started analyzer with a handful of decisions divided by the
 // full window size, under-reporting the rate by window/filled and
-// keeping the signal pinned at SignalScaleDown during warm-up.
+// keeping the signal pinned at slo.SignalScaleDown during warm-up.
 func TestSaturationRateOverObservedNotCapacity(t *testing.T) {
-	a := newSLOAnalyzer(SLOConfig{Classes: DefaultSLOClasses(), Window: 8}.withDefaults())
+	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses(), Window: 8}.withDefaults())
 	rate, window := a.rejectionRate()
 	if rate != 0 || window != 0 {
 		t.Fatalf("empty analyzer: rate=%g window=%d, want 0, 0", rate, window)
@@ -487,7 +490,7 @@ func TestSaturationRateOverObservedNotCapacity(t *testing.T) {
 // decisions: older ones fall out, and overwritten slots are not
 // double-counted.
 func TestSaturationRateWrappedRing(t *testing.T) {
-	a := newSLOAnalyzer(SLOConfig{Classes: DefaultSLOClasses(), Window: 4}.withDefaults())
+	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses(), Window: 4}.withDefaults())
 	// 4 rejections fill the ring...
 	for i := 0; i < 4; i++ {
 		a.record("critical", false)

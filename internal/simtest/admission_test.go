@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/qosd"
+	"repro/internal/slo"
 	"repro/internal/xrand"
 )
 
@@ -38,8 +38,8 @@ func TestAdmissionBudgetMonotonicity(t *testing.T) {
 		headroom := r.Float64() * 0.5
 		prevAdmitted := false
 		for _, budget := range budgets {
-			class := qosd.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
-			d := qosd.EvaluateAdmission(c.deg, c.bound, c.mu, c.lambda, class, headroom)
+			class := slo.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
+			d := slo.EvaluateAdmission(c.deg, c.bound, c.mu, c.lambda, class, headroom)
 			if prevAdmitted && !d.Admitted {
 				t.Errorf("seed %d: budget %g admitted but looser budget %g rejected (case %+v)",
 					seed, budget/3, budget, c)
@@ -57,10 +57,10 @@ func TestAdmissionHeadroomMonotonicity(t *testing.T) {
 		r := xrand.New(seed + 0x4EAD)
 		c := randomAdmissionCase(r)
 		budget := 0.001 + r.Float64()*0.2
-		class := qosd.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
+		class := slo.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
 		prevAdmitted := true
 		for _, h := range headrooms {
-			d := qosd.EvaluateAdmission(c.deg, c.bound, c.mu, c.lambda, class, h)
+			d := slo.EvaluateAdmission(c.deg, c.bound, c.mu, c.lambda, class, h)
 			if d.Admitted && !prevAdmitted {
 				t.Errorf("seed %d: headroom %g admitted after a smaller headroom rejected (case %+v)",
 					seed, h, c)
@@ -82,8 +82,8 @@ func TestAdmissionSaturationAbsorbing(t *testing.T) {
 		c.deg = boundary + r.Float64()
 		c.bound = 0
 		for _, budget := range []float64{0.01, 1, 1e6} {
-			class := qosd.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
-			d := qosd.EvaluateAdmission(c.deg, c.bound, c.mu, c.lambda, class, 0)
+			class := slo.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
+			d := slo.EvaluateAdmission(c.deg, c.bound, c.mu, c.lambda, class, 0)
 			if d.Admitted || !d.Saturated {
 				t.Errorf("seed %d: saturated candidate admitted at budget %g: %+v (case %+v)",
 					seed, budget, d, c)
@@ -103,10 +103,10 @@ func TestAdmissionBoundMonotonicity(t *testing.T) {
 		r := xrand.New(seed + 0xB0)
 		c := randomAdmissionCase(r)
 		budget := 0.001 + r.Float64()*0.2
-		class := qosd.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
+		class := slo.SLOClass{Name: "law", Budget: budget, Percentile: c.percentile}
 		prevAdmitted := true
 		for _, b := range bounds {
-			d := qosd.EvaluateAdmission(c.deg, b, c.mu, c.lambda, class, 0.1)
+			d := slo.EvaluateAdmission(c.deg, b, c.mu, c.lambda, class, 0.1)
 			if d.Admitted && !prevAdmitted {
 				t.Errorf("seed %d: bound %g admitted after a smaller bound rejected (case %+v)",
 					seed, b, c)

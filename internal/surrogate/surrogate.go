@@ -105,6 +105,12 @@ type Prediction struct {
 	Bound float64
 }
 
+// DefaultThreshold is the default accuracy budget of a tiered predictor
+// (qosd's surrogate tier, the cluster simulator's TieredPredictor): a
+// Prediction whose Bound exceeds five degradation points falls back to
+// the engine-measured answer.
+const DefaultThreshold = 0.05
+
 // Set is a fleet of fitted models for one machine configuration and
 // placement, optionally carrying the Equation 3 model trained against
 // engine ground truth (TrainEq3) so the set alone can serve predictions.
