@@ -164,7 +164,7 @@ func BenchmarkFig2FunctionalUnitSenCon(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig2FunctionalUnits()
+		r, err := lab.Fig2FunctionalUnitsContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkFig3PortUtilizationCDF(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig3And5PortUtilization()
+		r, err := lab.Fig3And5PortUtilizationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func BenchmarkFig4MemorySenCon(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		if _, err := lab.Fig4MemorySubsystem(); err != nil {
+		if _, err := lab.Fig4MemorySubsystemContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func BenchmarkFig5MemPortUtilizationCDF(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig3And5PortUtilization()
+		r, err := lab.Fig3And5PortUtilizationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func BenchmarkFig6SenConSummary(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		if _, err := lab.Fig6Summary(); err != nil {
+		if _, err := lab.Fig6SummaryContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func BenchmarkFig7CorrelationMatrix(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig7Correlation()
+		r, err := lab.Fig7CorrelationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkFig9RulerValidation(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig9RulerValidation()
+		r, err := lab.Fig9RulerValidationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkFig10SpecSMTPrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig10SpecSMT()
+		r, err := lab.Fig10SpecSMTContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func BenchmarkFig11SpecCMPPrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig11SpecCMP()
+		r, err := lab.Fig11SpecCMPContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func BenchmarkFig12CloudSuitePrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig12CloudSuite()
+		r, err := lab.Fig12CloudSuiteContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func BenchmarkFig13TailLatencyPrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig13TailLatency()
+		r, err := lab.Fig13TailLatencyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkFig14UtilizationAvgQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig14And15AvgQoS()
+		r, err := lab.Fig14And15AvgQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func BenchmarkFig15ViolationsAvgQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig14And15AvgQoS()
+		r, err := lab.Fig14And15AvgQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func BenchmarkFig16UtilizationTailQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig16And17TailQoS()
+		r, err := lab.Fig16And17TailQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func BenchmarkFig17ViolationsTailQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig16And17TailQoS()
+		r, err := lab.Fig16And17TailQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func BenchmarkFig18TCO(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig18TCO()
+		r, err := lab.Fig18TCOContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func BenchmarkModelAblation(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.ModelAblation()
+		r, err := lab.ModelAblationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func BenchmarkAblationStreamPrefetcher(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := profile.Solo(cfg, profile.App(spec), profile.FastOptions())
+		res, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), profile.FastOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -469,7 +469,7 @@ func BenchmarkAblationL3Replacement(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := profile.NewProfiler(cfg, profile.FastOptions())
-		pm, err := p.MeasurePair(a, bb, profile.SMT)
+		pm, err := p.MeasurePairContext(context.Background(), a, bb, profile.SMT)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -507,7 +507,7 @@ func BenchmarkCheckerOverhead(b *testing.B) {
 			opts := profile.FastOptions()
 			opts.Check = mode.check
 			for i := 0; i < b.N; i++ {
-				res, err := profile.Colocate(cfg, profile.App(namd), profile.App(mcf), profile.SMT, opts)
+				res, err := profile.ColocateContext(context.Background(), cfg, profile.App(namd), profile.App(mcf), profile.SMT, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

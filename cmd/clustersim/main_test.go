@@ -50,7 +50,7 @@ func TestServerModeMatchesInProcess(t *testing.T) {
 	lab := experiments.NewLab(scale)
 
 	for _, qos := range []cluster.QoSKind{cluster.QoSAvg, cluster.QoSTail} {
-		inProc, err := lab.ScaleOutStudy(qos, nil)
+		inProc, err := lab.ScaleOutStudyContext(context.Background(), qos, nil)
 		if err != nil {
 			t.Fatalf("%v in-process: %v", qos, err)
 		}

@@ -32,17 +32,12 @@ type AblationRow struct {
 	TrainErr float64
 }
 
-// ModelAblation runs the comparison.
-func (l *Lab) ModelAblation() (AblationResult, error) {
-	return l.ModelAblationContext(context.Background())
-}
-
-// ModelAblationContext is ModelAblation with cooperative cancellation.
+// ModelAblationContext runs the comparison.
 func (l *Lab) ModelAblationContext(ctx context.Context) (AblationResult, error) {
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())
 	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, all, fmt.Sprintf("spec-%d", len(all)))
+	chars, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, all)
 	if err != nil {
 		return AblationResult{}, err
 	}

@@ -12,10 +12,9 @@ import (
 )
 
 // allAppsSet returns the full characterization population (SPEC +
-// CloudSuite, truncated per scale) and a cache key name for it.
-func (l *Lab) allAppsSet() ([]*workload.Spec, string) {
-	set := append(l.specSet(workload.SPECCPU2006()), l.cloudSet()...)
-	return set, fmt.Sprintf("all-%d", len(set))
+// CloudSuite, truncated per scale).
+func (l *Lab) allAppsSet() []*workload.Spec {
+	return append(l.specSet(workload.SPECCPU2006()), l.cloudSet()...)
 }
 
 // SenConResult is the characterization matrix behind Figures 2, 4 and 6:
@@ -28,14 +27,9 @@ type SenConResult struct {
 	Chars []profile.Characterization
 }
 
-// Fig2FunctionalUnits measures sensitivity and contentiousness on the four
-// functional-unit dimensions for all applications (paper Figure 2).
-func (l *Lab) Fig2FunctionalUnits() (SenConResult, error) {
-	return l.Fig2FunctionalUnitsContext(context.Background())
-}
-
-// Fig2FunctionalUnitsContext is Fig2FunctionalUnits with cooperative
-// cancellation.
+// Fig2FunctionalUnitsContext measures sensitivity and contentiousness on
+// the four functional-unit dimensions for all applications (paper Figure
+// 2).
 func (l *Lab) Fig2FunctionalUnitsContext(ctx context.Context) (SenConResult, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
@@ -48,14 +42,8 @@ func (l *Lab) Fig2FunctionalUnitsContext(ctx context.Context) (SenConResult, err
 	}, nil
 }
 
-// Fig4MemorySubsystem measures sensitivity and contentiousness on the
-// cache dimensions (paper Figure 4).
-func (l *Lab) Fig4MemorySubsystem() (SenConResult, error) {
-	return l.Fig4MemorySubsystemContext(context.Background())
-}
-
-// Fig4MemorySubsystemContext is Fig4MemorySubsystem with cooperative
-// cancellation.
+// Fig4MemorySubsystemContext measures sensitivity and contentiousness on
+// the cache dimensions (paper Figure 4).
 func (l *Lab) Fig4MemorySubsystemContext(ctx context.Context) (SenConResult, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
@@ -68,12 +56,7 @@ func (l *Lab) Fig4MemorySubsystemContext(ctx context.Context) (SenConResult, err
 	}, nil
 }
 
-// Fig6Summary is the full seven-dimension matrix (paper Figure 6).
-func (l *Lab) Fig6Summary() (SenConResult, error) {
-	return l.Fig6SummaryContext(context.Background())
-}
-
-// Fig6SummaryContext is Fig6Summary with cooperative cancellation.
+// Fig6SummaryContext is the full seven-dimension matrix (paper Figure 6).
 func (l *Lab) Fig6SummaryContext(ctx context.Context) (SenConResult, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
@@ -87,8 +70,7 @@ func (l *Lab) Fig6SummaryContext(ctx context.Context) (SenConResult, error) {
 }
 
 func (l *Lab) characterizeAllApps(ctx context.Context) ([]profile.Characterization, error) {
-	set, name := l.allAppsSet()
-	return l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, set, name)
+	return l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, l.allAppsSet())
 }
 
 // String renders the matrix.
@@ -148,13 +130,8 @@ type Fig7Result struct {
 	FracBelow50 float64
 }
 
-// Fig7Correlation computes the absolute Pearson correlations among all 14
-// sensitivity/contentiousness dimensions across applications.
-func (l *Lab) Fig7Correlation() (Fig7Result, error) {
-	return l.Fig7CorrelationContext(context.Background())
-}
-
-// Fig7CorrelationContext is Fig7Correlation with cooperative cancellation.
+// Fig7CorrelationContext computes the absolute Pearson correlations among
+// all 14 sensitivity/contentiousness dimensions across applications.
 func (l *Lab) Fig7CorrelationContext(ctx context.Context) (Fig7Result, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {

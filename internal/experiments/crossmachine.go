@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/model"
@@ -26,19 +25,15 @@ type CrossMachineResult struct {
 	RetrainedErr float64
 }
 
-// CrossMachine runs the transfer study on the SPEC even/odd protocol.
-func (l *Lab) CrossMachine() (CrossMachineResult, error) {
-	return l.CrossMachineContext(context.Background())
-}
-
-// CrossMachineContext is CrossMachine with cooperative cancellation.
+// CrossMachineContext runs the transfer study on the SPEC even/odd
+// protocol.
 func (l *Lab) CrossMachineContext(ctx context.Context) (CrossMachineResult, error) {
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())
 	all := append(append([]*workload.Spec{}, train...), test...)
 
 	build := func(m Machine) (trainObs, testObs []model.PairObs, err error) {
-		chars, err := l.CharacterizationsContext(ctx, m, profile.SMT, all, fmt.Sprintf("spec-%d", len(all)))
+		chars, err := l.CharacterizationsContext(ctx, m, profile.SMT, all)
 		if err != nil {
 			return nil, nil, err
 		}

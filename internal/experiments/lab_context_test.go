@@ -16,7 +16,7 @@ func TestCharacterizationsContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	set := l.specSet(workload.SPECCPU2006())[:2]
-	if _, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, set, "pre-cancel"); !errors.Is(err, context.Canceled) {
+	if _, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, set); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if n := l.charRuns.Load(); n != 0 {
@@ -39,7 +39,7 @@ func TestCharacterizationsContextCancelsAndRetries(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, set, "cancel-retry")
+	_, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, set)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -48,7 +48,7 @@ func TestCharacterizationsContextCancelsAndRetries(t *testing.T) {
 	// finishes quickly; the memo key ignores options, but the failed entry
 	// must have been removed.
 	l2 := NewLab(tinyLabScale())
-	if _, err := l2.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, l2.specSet(workload.SPECCPU2006())[:1], "cancel-retry"); err != nil {
+	if _, err := l2.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, l2.specSet(workload.SPECCPU2006())[:1]); err != nil {
 		t.Fatalf("fresh characterization after a cancelled one: %v", err)
 	}
 	if got := l.charRuns.Load(); got != 1 {

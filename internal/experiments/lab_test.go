@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ func tinyLabScale() Scale {
 	}
 }
 
-// Regression for the Characterizations check-then-act race: concurrent
+// Regression for the CharacterizationsContext check-then-act race: concurrent
 // callers of the same memo key used to each run the full characterization
 // fan-out, with every loser's work discarded. The memo is now
 // single-flight, so exactly one fan-out may execute. Run under -race (the
@@ -49,7 +50,7 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int, set []*workload.Spec) {
 			defer wg.Done()
-			results[i], errs[i] = lab.Characterizations(IvyBridge, profile.SMT, set, "race-test")
+			results[i], errs[i] = lab.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, set)
 		}(i, set)
 	}
 	wg.Wait()
@@ -82,7 +83,7 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 		t.Errorf("characterization fan-out executed %d times for one key, want 1 (single-flight)", runs)
 	}
 	// A second, sequential call is a pure memo hit.
-	if _, err := lab.Characterizations(IvyBridge, profile.SMT, sets[0], "race-test"); err != nil {
+	if _, err := lab.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, sets[0]); err != nil {
 		t.Fatal(err)
 	}
 	if runs := lab.charRuns.Load(); runs != 1 {
@@ -92,8 +93,9 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 
 // A reduced-core Scale (TestScale halves the Sandy Bridge-EN to 4 cores)
 // must still characterize the 6-thread CloudSuite applications: the
-// thread clamp lives in Characterizations' job construction, not in
-// cloudSet, and this pins that it actually engages.
+// thread clamp lives in CharacterizationsContext's job construction
+// (profile.Profiler.JobFor), not in cloudSet, and this pins that it
+// actually engages.
 func TestScaleReducedCoresClampsCloudThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization fan-out in short mode")
@@ -118,14 +120,14 @@ func TestScaleReducedCoresClampsCloudThreads(t *testing.T) {
 	}
 	// Unclamped, the machine cannot host the job ...
 	p := lab.Profiler(SandyBridgeEN)
-	if _, err := p.CharacterizeJob(profile.AppThreads(spec, spec.ThreadCount()), profile.SMT); err == nil {
+	if _, err := p.CharacterizeJobContext(context.Background(), profile.AppThreads(spec, spec.ThreadCount()), profile.SMT); err == nil {
 		t.Errorf("%d-thread job on %d cores characterized without error — clamp premise broken",
 			spec.ThreadCount(), lab.SNB.Cores)
 	}
-	// ... while Characterizations clamps and succeeds.
-	chars, err := lab.Characterizations(SandyBridgeEN, profile.SMT, set, "clamp-test")
+	// ... while CharacterizationsContext clamps and succeeds.
+	chars, err := lab.CharacterizationsContext(context.Background(), SandyBridgeEN, profile.SMT, set)
 	if err != nil {
-		t.Fatalf("Characterizations with reduced cores: %v", err)
+		t.Fatalf("CharacterizationsContext with reduced cores: %v", err)
 	}
 	if chars[0].App != spec.Name || chars[0].SoloIPC <= 0 {
 		t.Errorf("clamped characterization looks wrong: %+v", chars[0])

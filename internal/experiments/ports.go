@@ -23,16 +23,10 @@ type PortUtilResult struct {
 	Utils [isa.NumPorts][]float64
 }
 
-// Fig3And5PortUtilization co-locates all (truncated) SPEC pairs on the
-// Ivy Bridge machine and collects the aggregated utilisation of every
-// execution port from the simulated PMUs.
-func (l *Lab) Fig3And5PortUtilization() (PortUtilResult, error) {
-	return l.Fig3And5PortUtilizationContext(context.Background())
-}
-
-// Fig3And5PortUtilizationContext is Fig3And5PortUtilization with
-// cooperative cancellation; the per-pair co-locations fan out on the
-// internal/sched worker pool.
+// Fig3And5PortUtilizationContext co-locates all (truncated) SPEC pairs on
+// the Ivy Bridge machine and collects the aggregated utilisation of every
+// execution port from the simulated PMUs. The per-pair co-locations fan
+// out on the internal/sched worker pool.
 func (l *Lab) Fig3And5PortUtilizationContext(ctx context.Context) (PortUtilResult, error) {
 	set := workload.SPECCPU2006()
 	if l.Scale.MaxPairApps > 0 && len(set) > l.Scale.MaxPairApps {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/simcache"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -33,24 +34,14 @@ type PredictionResult struct {
 	MeasuredPerApp map[string]float64
 }
 
-// Fig10SpecSMT reproduces Figure 10: SMT co-location prediction on SPEC
-// (even-numbered train, odd-numbered test, Ivy Bridge).
-func (l *Lab) Fig10SpecSMT() (PredictionResult, error) {
-	return l.Fig10SpecSMTContext(context.Background())
-}
-
-// Fig10SpecSMTContext is Fig10SpecSMT with cooperative cancellation.
+// Fig10SpecSMTContext reproduces Figure 10: SMT co-location prediction on
+// SPEC (even-numbered train, odd-numbered test, Ivy Bridge).
 func (l *Lab) Fig10SpecSMTContext(ctx context.Context) (PredictionResult, error) {
 	return l.specPrediction(ctx, profile.SMT, "Figure 10: SMT co-location prediction accuracy (SPEC CPU2006)")
 }
 
-// Fig11SpecCMP reproduces Figure 11: the same protocol under CMP
+// Fig11SpecCMPContext reproduces Figure 11: the same protocol under CMP
 // placement.
-func (l *Lab) Fig11SpecCMP() (PredictionResult, error) {
-	return l.Fig11SpecCMPContext(context.Background())
-}
-
-// Fig11SpecCMPContext is Fig11SpecCMP with cooperative cancellation.
 func (l *Lab) Fig11SpecCMPContext(ctx context.Context) (PredictionResult, error) {
 	return l.specPrediction(ctx, profile.CMP, "Figure 11: CMP co-location prediction accuracy (SPEC CPU2006)")
 }
@@ -59,7 +50,7 @@ func (l *Lab) specPrediction(ctx context.Context, placement profile.Placement, t
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())
 	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := l.CharacterizationsContext(ctx, IvyBridge, placement, all, fmt.Sprintf("spec-%d", len(all)))
+	chars, err := l.CharacterizationsContext(ctx, IvyBridge, placement, all)
 	if err != nil {
 		return PredictionResult{}, err
 	}
@@ -156,7 +147,7 @@ type cloudStudy struct {
 	maxInstances map[profile.Placement]int
 	// servingSen and servingChars retain the SMT-placement inputs of the
 	// table's predictions (Sen(n) per latency app, full characterizations
-	// for the Con side) so ServingArtifacts can hand the exact prediction
+	// for the Con side) so ServingArtifactsContext can hand the exact prediction
 	// inputs to a qosd daemon.
 	servingSen   map[string][]profile.Characterization // lat app → index n-1
 	servingChars map[string]profile.Characterization
@@ -167,42 +158,11 @@ type cloudStudy struct {
 // every (latency app, even-SPEC batch app, instance count) co-location is
 // measured and predicted under both placements (paper Section IV-B2).
 func (l *Lab) cloudStudyData(ctx context.Context) (*cloudStudy, error) {
-	// Single-flight, like Characterizations: the study is the most
+	// Single-flight, like CharacterizationsContext: the study is the most
 	// expensive memo in the Lab, so two concurrent figures must not both
-	// build it.
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		if f := l.cloud; f != nil {
-			l.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if !f.ok {
-				continue // that flight failed; try to compute ourselves
-			}
-			return f.cs, nil
-		}
-		f := &cloudFlight{done: make(chan struct{})}
-		l.cloud = f
-		l.mu.Unlock()
-
-		cs, err := l.buildCloudStudy(ctx)
-		if err != nil {
-			l.mu.Lock()
-			l.cloud = nil
-			l.mu.Unlock()
-			close(f.done)
-			return nil, err
-		}
-		f.cs, f.ok = cs, true
-		close(f.done)
-		return cs, nil
-	}
+	// build it. The memo holds this one study, under the zero Key.
+	cs, _, err := l.cloud.DoContext(ctx, simcache.Key{}, l.buildCloudStudy)
+	return cs, err
 }
 
 // buildCloudStudy performs the actual measurement and training fan-out of
@@ -244,7 +204,7 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 	for _, placement := range []profile.Placement{profile.SMT, profile.CMP} {
 		allApps := append(append([]*workload.Spec{}, train...), batch...)
 		allApps = append(allApps, cloudApps...)
-		chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, placement, allApps, fmt.Sprintf("cloud-%d-%d", placement, len(allApps)))
+		chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, placement, allApps)
 		if err != nil {
 			return nil, err
 		}
@@ -364,14 +324,9 @@ type Fig12Row struct {
 	SmiteErr, PMUErr                      float64
 }
 
-// Fig12CloudSuite reproduces Figure 12: prediction accuracy for the
+// Fig12CloudSuiteContext reproduces Figure 12: prediction accuracy for the
 // CloudSuite latency-sensitive applications under SMT and CMP co-location
 // with SPEC batch applications on the Sandy Bridge-EN machine.
-func (l *Lab) Fig12CloudSuite() (Fig12Result, error) {
-	return l.Fig12CloudSuiteContext(context.Background())
-}
-
-// Fig12CloudSuiteContext is Fig12CloudSuite with cooperative cancellation.
 func (l *Lab) Fig12CloudSuiteContext(ctx context.Context) (Fig12Result, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
@@ -444,13 +399,8 @@ func (r Fig12Result) String() string {
 	return b.String()
 }
 
-// ClusterTable exports the SMT cloud study as the degradation table the
-// scale-out experiments consume.
-func (l *Lab) ClusterTable() (*cluster.Table, map[string]service.Service, error) {
-	return l.ClusterTableContext(context.Background())
-}
-
-// ClusterTableContext is ClusterTable with cooperative cancellation.
+// ClusterTableContext exports the SMT cloud study as the degradation table
+// the scale-out experiments consume.
 func (l *Lab) ClusterTableContext(ctx context.Context) (*cluster.Table, map[string]service.Service, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
@@ -484,14 +434,8 @@ type ServingArtifacts struct {
 	Threads, MaxInstances int
 }
 
-// ServingArtifacts exports the SMT cloud study's prediction inputs (see
-// the ServingArtifacts type). It builds the cloud study on first use.
-func (l *Lab) ServingArtifacts() (ServingArtifacts, error) {
-	return l.ServingArtifactsContext(context.Background())
-}
-
-// ServingArtifactsContext is ServingArtifacts with cooperative
-// cancellation.
+// ServingArtifactsContext exports the SMT cloud study's prediction inputs
+// (see the ServingArtifacts type). It builds the cloud study on first use.
 func (l *Lab) ServingArtifactsContext(ctx context.Context) (ServingArtifacts, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {

@@ -47,14 +47,9 @@ type Fig9Result struct {
 	Linearity []LinearityCheck
 }
 
-// Fig9RulerValidation validates the Ruler suite on the Ivy Bridge machine.
-func (l *Lab) Fig9RulerValidation() (Fig9Result, error) {
-	return l.Fig9RulerValidationContext(context.Background())
-}
-
-// Fig9RulerValidationContext is Fig9RulerValidation with cooperative
-// cancellation; the intensity-sweep cells fan out on the internal/sched
-// worker pool.
+// Fig9RulerValidationContext validates the Ruler suite on the Ivy Bridge
+// machine. The intensity-sweep cells fan out on the internal/sched worker
+// pool.
 func (l *Lab) Fig9RulerValidationContext(ctx context.Context) (Fig9Result, error) {
 	var out Fig9Result
 	// Functional-unit Rulers: solo runs, check port counters.

@@ -23,41 +23,24 @@ type ScaleOutResult struct {
 // scaleOutTargets are the paper's QoS targets.
 var scaleOutTargets = []float64{0.95, 0.90, 0.85}
 
-// Fig14And15AvgQoS runs the average-performance-QoS scale-out study
+// Fig14And15AvgQoSContext runs the average-performance-QoS scale-out study
 // (utilization: Figure 14; violations: Figure 15).
-func (l *Lab) Fig14And15AvgQoS() (ScaleOutResult, error) {
-	return l.ScaleOutStudyContext(context.Background(), cluster.QoSAvg, nil)
-}
-
-// Fig14And15AvgQoSContext is Fig14And15AvgQoS with cooperative
-// cancellation.
 func (l *Lab) Fig14And15AvgQoSContext(ctx context.Context) (ScaleOutResult, error) {
 	return l.ScaleOutStudyContext(ctx, cluster.QoSAvg, nil)
 }
 
-// Fig16And17TailQoS runs the tail-latency-QoS study over the two services
-// that report percentile latency (utilization: Figure 16; violations:
-// Figure 17).
-func (l *Lab) Fig16And17TailQoS() (ScaleOutResult, error) {
-	return l.ScaleOutStudyContext(context.Background(), cluster.QoSTail, nil)
-}
-
-// Fig16And17TailQoSContext is Fig16And17TailQoS with cooperative
-// cancellation.
+// Fig16And17TailQoSContext runs the tail-latency-QoS study over the two
+// services that report percentile latency (utilization: Figure 16;
+// violations: Figure 17).
 func (l *Lab) Fig16And17TailQoSContext(ctx context.Context) (ScaleOutResult, error) {
 	return l.ScaleOutStudyContext(ctx, cluster.QoSTail, nil)
 }
 
-// ScaleOutStudy runs a scale-out study under either QoS definition. A
-// non-nil pred replaces the table's baked-in predicted degradations as
+// ScaleOutStudyContext runs a scale-out study under either QoS definition.
+// A non-nil pred replaces the table's baked-in predicted degradations as
 // the SMiTe policy's prediction source (cmd/clustersim --server passes a
 // predictor backed by a live qosd daemon); nil keeps the in-process
-// predictions. Measured degradations always come from the table.
-func (l *Lab) ScaleOutStudy(qos cluster.QoSKind, pred cluster.Predictor) (ScaleOutResult, error) {
-	return l.ScaleOutStudyContext(context.Background(), qos, pred)
-}
-
-// ScaleOutStudyContext is ScaleOutStudy with cooperative cancellation: the
+// predictions. Measured degradations always come from the table. The
 // underlying cloud-study measurements abort mid-simulation when ctx is
 // cancelled, and the queueing sweeps check ctx between cells.
 func (l *Lab) ScaleOutStudyContext(ctx context.Context, qos cluster.QoSKind, pred cluster.Predictor) (ScaleOutResult, error) {
@@ -174,15 +157,10 @@ type Fig18Row struct {
 	Improvement      float64
 }
 
-// Fig18TCO evaluates the total-cost-of-ownership impact of SMiTe-steered
-// co-location under both QoS definitions (paper Figure 18). The baseline
-// fleet is half latency servers, half batch servers; co-location absorbs
-// batch work onto the latency servers' idle contexts.
-func (l *Lab) Fig18TCO() (Fig18Result, error) {
-	return l.Fig18TCOContext(context.Background())
-}
-
-// Fig18TCOContext is Fig18TCO with cooperative cancellation.
+// Fig18TCOContext evaluates the total-cost-of-ownership impact of
+// SMiTe-steered co-location under both QoS definitions (paper Figure 18).
+// The baseline fleet is half latency servers, half batch servers;
+// co-location absorbs batch work onto the latency servers' idle contexts.
 func (l *Lab) Fig18TCOContext(ctx context.Context) (Fig18Result, error) {
 	params := tco.Google2014()
 	avg, err := l.Fig14And15AvgQoSContext(ctx)

@@ -42,24 +42,18 @@ type Fig13Result struct {
 	Rows []Fig13Row
 }
 
-// Fig13TailLatency runs the experiment: the queueing model is calibrated
-// per service from its Ruler characterization (degradation → simulated p90
-// points), then used to predict the p90 under SPEC batch co-locations; the
-// "measured" p90 comes from the queue simulator driven by the measured
-// degradation.
-func (l *Lab) Fig13TailLatency() (Fig13Result, error) {
-	return l.Fig13TailLatencyContext(context.Background())
-}
-
-// Fig13TailLatencyContext is Fig13TailLatency with cooperative
-// cancellation.
+// Fig13TailLatencyContext runs the experiment: the queueing model is
+// calibrated per service from its Ruler characterization (degradation →
+// simulated p90 points), then used to predict the p90 under SPEC batch
+// co-locations; the "measured" p90 comes from the queue simulator driven by
+// the measured degradation.
 func (l *Lab) Fig13TailLatencyContext(ctx context.Context) (Fig13Result, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
 		return Fig13Result{}, err
 	}
-	set, name := l.allAppsSet()
-	chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, set, name)
+	set := l.allAppsSet()
+	chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, set)
 	if err != nil {
 		return Fig13Result{}, err
 	}

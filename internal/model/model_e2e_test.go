@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -25,16 +26,16 @@ func TestEndToEndSpecPrediction(t *testing.T) {
 	test := workload.OddSPEC()
 
 	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := p.CharacterizeAll(all, profile.SMT)
+	chars, err := p.CharacterizeAllContext(context.Background(), all, profile.SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	trainPairs, err := p.MeasurePairs(train, train, profile.SMT)
+	trainPairs, err := p.MeasurePairsContext(context.Background(), train, train, profile.SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	testPairs, err := p.MeasurePairs(test, test, profile.SMT)
+	testPairs, err := p.MeasurePairsContext(context.Background(), test, test, profile.SMT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ func batchOptions() Options {
 // characterization computed through the pooled one-chip-per-worker
 // scheduler must be bit-identical to one computed with a fresh engine
 // instance per cell. The fresh side is assembled by hand from the package
-// Solo/Colocate functions, which never see a scheduler slot and therefore
-// always allocate.
+// SoloContext/ColocateContext functions, which never see a scheduler slot
+// and therefore always allocate.
 func TestBatchedMatchesFreshChips(t *testing.T) {
 	cfg := batchConfig()
 	opts := batchOptions()
@@ -43,7 +43,7 @@ func TestBatchedMatchesFreshChips(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		o := opts
 		o.Parallelism = workers
-		batched, err := NewProfiler(cfg, o).CharacterizeAll(specs, SMT)
+		batched, err := NewProfiler(cfg, o).CharacterizeAllContext(context.Background(), specs, SMT)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -51,7 +51,7 @@ func TestBatchedMatchesFreshChips(t *testing.T) {
 		var fresh []Characterization
 		for _, spec := range specs {
 			job := App(spec)
-			solo, err := Solo(cfg, job, opts)
+			solo, err := SoloContext(context.Background(), cfg, job, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,16 +62,16 @@ func TestBatchedMatchesFreshChips(t *testing.T) {
 				SoloPMU:   solo.AppCounters[0],
 			}
 			for _, r := range rulers.StandardSet(cfg) {
-				rulerSolo, err := Solo(cfg, Rulers(r, 1), opts)
+				rulerBase, err := SoloContext(context.Background(), cfg, Rulers(r, 1), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				co, err := Colocate(cfg, job, Rulers(r, job.Instances()), SMT, opts)
+				co, err := ColocateContext(context.Background(), cfg, job, Rulers(r, job.Instances()), SMT, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ch.Sen[r.Dim] = Degradation(solo.AppIPC, co.AppIPC)
-				ch.Con[r.Dim] = Degradation(rulerSolo.AppIPC, co.PartnerIPC)
+				ch.Con[r.Dim] = Degradation(rulerBase.AppIPC, co.PartnerIPC)
 			}
 			fresh = append(fresh, ch)
 		}
@@ -142,7 +142,7 @@ func TestChipForRespectsForeignSlot(t *testing.T) {
 }
 
 // TestCharacterizeSweep exercises the grid API: the intensity-1.0 column
-// must be bit-identical to CharacterizeAll, every dimension must carry one
+// must be bit-identical to CharacterizeAllContext, every dimension must carry one
 // sample per grid point in ascending order, and 1.0 must be appended when
 // missing.
 func TestCharacterizeSweep(t *testing.T) {
@@ -152,7 +152,7 @@ func TestCharacterizeSweep(t *testing.T) {
 	specs := []*workload.Spec{mustByName(t, "429.mcf")}
 
 	p := NewProfiler(cfg, opts)
-	sweeps, err := p.CharacterizeSweep([]Job{App(specs[0])}, SMT, []float64{0.5})
+	sweeps, err := p.CharacterizeSweepContext(context.Background(), []Job{App(specs[0])}, SMT, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCharacterizeSweep(t *testing.T) {
 		}
 	}
 
-	chars, err := NewProfiler(cfg, opts).CharacterizeAll(specs, SMT)
+	chars, err := NewProfiler(cfg, opts).CharacterizeAllContext(context.Background(), specs, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -57,29 +58,29 @@ func TestCachedBitIdentical(t *testing.T) {
 	partner := App(mustSpec(t, "470.lbm"))
 
 	opts := cacheTestOptions()
-	uncachedSolo, err := Solo(cfg, app, opts)
+	uncachedSolo, err := SoloContext(context.Background(), cfg, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncachedCo, err := Colocate(cfg, app, partner, SMT, opts)
+	uncachedCo, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts.Cache = simcache.New[RunResult]()
-	firstSolo, err := Solo(cfg, app, opts) // miss: simulates
+	firstSolo, err := SoloContext(context.Background(), cfg, app, opts) // miss: simulates
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedSolo, err := Solo(cfg, app, opts) // hit
+	cachedSolo, err := SoloContext(context.Background(), cfg, app, opts) // hit
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstCo, err := Colocate(cfg, app, partner, SMT, opts)
+	firstCo, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedCo, err := Colocate(cfg, app, partner, SMT, opts)
+	cachedCo, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestCacheHitIsolation(t *testing.T) {
 	opts.Cache = simcache.New[RunResult]()
 	app := App(mustSpec(t, "429.mcf"))
 
-	first, err := Solo(cfg, app, opts)
+	first, err := SoloContext(context.Background(), cfg, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.AppCounters[0].Instructions = math.MaxUint64 // vandalise our copy
-	second, err := Solo(cfg, app, opts)
+	second, err := SoloContext(context.Background(), cfg, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	want := make([]RunResult, len(apps))
 	for i, a := range apps {
-		r, err := Solo(cfg, a, opts)
+		r, err := SoloContext(context.Background(), cfg, a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				idx := (g + i) % len(apps)
-				r, err := Solo(cfg, apps[idx], opts)
+				r, err := SoloContext(context.Background(), cfg, apps[idx], opts)
 				if err != nil {
 					t.Errorf("solo %s: %v", apps[idx].Name(), err)
 					return
@@ -263,5 +264,77 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := opts.Cache.Stats(); st.Misses != uint64(len(apps)) {
 		t.Errorf("misses = %d, want %d (each app simulated once)", st.Misses, len(apps))
+	}
+}
+
+// TestSoloRunKeyedByContent: two specs that share a name are two jobs. A
+// profiler that has already measured the first must hand the second its
+// own solo run, and characterize it exactly as a fresh profiler would —
+// a memo keyed by name alone returns the first spec's baseline instead.
+func TestSoloRunKeyedByContent(t *testing.T) {
+	ctx := context.Background()
+	cfg, opts := testConfig(), cacheTestOptions()
+	mcf := mustSpec(t, "429.mcf")
+	impostor := *mustSpec(t, "444.namd")
+	impostor.Name = mcf.Name
+
+	warm := NewProfiler(cfg, opts)
+	mcfSolo, err := warm.SoloRunContext(ctx, App(mcf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := warm.SoloRunContext(ctx, App(&impostor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewProfiler(cfg, opts).SoloRunContext(ctx, App(&impostor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AppIPC != want.AppIPC || got.AppIPC == mcfSolo.AppIPC {
+		t.Errorf("renamed namd solo IPC on a warm profiler = %g, fresh %g (mcf's: %g)", got.AppIPC, want.AppIPC, mcfSolo.AppIPC)
+	}
+
+	warmCh, err := warm.CharacterizeContext(ctx, &impostor, SMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshCh, err := NewProfiler(cfg, opts).CharacterizeContext(ctx, &impostor, SMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmCh != freshCh {
+		t.Errorf("warm characterization diverged from a fresh profiler's:\nwarm:  %+v\nfresh: %+v", warmCh, freshCh)
+	}
+}
+
+// TestSweepIntensitiesThatRoundAlike: Rulers at 0.21 and 0.214 share the
+// printed name "<dim>@0.21", but each column's Con must divide by its own
+// Ruler's solo IPC. The 0.214 column of a {0.21, 0.214} sweep therefore
+// equals a sweep of {0.214} alone, at any Parallelism.
+func TestSweepIntensitiesThatRoundAlike(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in short mode")
+	}
+	ctx := context.Background()
+	jobs := []Job{App(mustSpec(t, "444.namd"))}
+	for _, workers := range []int{1, 4} {
+		opts := cacheTestOptions()
+		opts.Parallelism = workers
+		both, err := NewProfiler(testConfig(), opts).CharacterizeSweepContext(ctx, jobs, SMT, []float64{0.21, 0.214})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := NewProfiler(testConfig(), opts).CharacterizeSweepContext(ctx, jobs, SMT, []float64{0.214})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range both[0].Samples {
+			// Grids are ascending with 1.0 appended: 0.214 sits at index 1
+			// of {0.21, 0.214, 1} and index 0 of {0.214, 1}.
+			if got, want := both[0].Samples[d][1], alone[0].Samples[d][0]; got != want {
+				t.Errorf("parallelism %d, dimension %d: 0.214 column %+v, alone %+v", workers, d, got, want)
+			}
+		}
 	}
 }

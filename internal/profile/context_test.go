@@ -24,7 +24,7 @@ func ctxTestSpecs(t *testing.T) []*workload.Spec {
 	return specs
 }
 
-// CharacterizeAll must return the exact same bits at every Parallelism —
+// CharacterizeAllContext must return the exact same bits at every Parallelism —
 // the scheduler's index-addressed reduction makes worker count a pure
 // throughput knob.
 func TestCharacterizeAllParallelismInvariant(t *testing.T) {
@@ -37,7 +37,7 @@ func TestCharacterizeAllParallelismInvariant(t *testing.T) {
 		opts := FastOptions()
 		opts.Parallelism = workers
 		p := NewProfiler(testConfig(), opts)
-		got, err := p.CharacterizeAll(specs, SMT)
+		got, err := p.CharacterizeAllContext(context.Background(), specs, SMT)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -51,7 +51,7 @@ func TestCharacterizeAllParallelismInvariant(t *testing.T) {
 	}
 }
 
-// MeasurePairs must likewise be Parallelism-invariant, including the
+// MeasurePairsContext must likewise be Parallelism-invariant, including the
 // ordering of the returned slice.
 func TestMeasurePairsParallelismInvariant(t *testing.T) {
 	if testing.Short() {
@@ -71,7 +71,7 @@ func TestMeasurePairsParallelismInvariant(t *testing.T) {
 		opts := FastOptions()
 		opts.Parallelism = workers
 		p := NewProfiler(testConfig(), opts)
-		got, err := p.MeasurePairs(specs, specs, SMT)
+		got, err := p.MeasurePairsContext(context.Background(), specs, specs, SMT)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -141,7 +141,7 @@ func TestCharacterizeAllProgress(t *testing.T) {
 		}
 	}
 	p := NewProfiler(testConfig(), opts)
-	if _, err := p.CharacterizeAll(specs, SMT); err != nil {
+	if _, err := p.CharacterizeAllContext(context.Background(), specs, SMT); err != nil {
 		t.Fatal(err)
 	}
 	nr := len(p.RulerSet())

@@ -21,19 +21,19 @@ func TestSamplerBypassesCacheAndMatches(t *testing.T) {
 	opts := cacheTestOptions()
 	opts.MeasureCycles = 40_000 // > one 16K slice, so several samples land
 
-	plain, err := Colocate(cfg, app, partner, SMT, opts)
+	plain, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts.Cache = simcache.New[RunResult]()
 	// Prime the cache so a non-bypassing implementation would hit it.
-	if _, err := Colocate(cfg, app, partner, SMT, opts); err != nil {
+	if _, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts); err != nil {
 		t.Fatal(err)
 	}
 	rec := timeline.New()
 	opts.Sampler = rec
-	sampled, err := Colocate(cfg, app, partner, SMT, opts)
+	sampled, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"reflect"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs/trace"
@@ -72,11 +71,12 @@ type Options struct {
 	// throughput/footprint knob.
 	Parallelism int
 	// Progress, when non-nil, receives batch progress from the scheduled
-	// helpers (CharacterizeAll, MeasurePairs and their Context forms):
-	// done counts completed simulation cells of the current batch, total
-	// the batch's cell count. It may be invoked concurrently from worker
-	// goroutines; done is monotone per batch but calls can arrive out of
-	// order. Excluded from cache keys — it never influences results.
+	// helpers (CharacterizeAllContext, CharacterizeSweepContext and
+	// MeasurePairsContext): done counts completed simulation cells of the
+	// current batch, total the batch's cell count. It may be invoked
+	// concurrently from worker goroutines; done is monotone per batch but
+	// calls can arrive out of order. Excluded from cache keys — it never
+	// influences results.
 	Progress func(done, total int)
 	// Check attaches the runtime invariant checker (internal/sim/check) to
 	// every chip this Options drives: run results are validated against the
@@ -296,28 +296,18 @@ func (r RunResult) clone() RunResult {
 	return r
 }
 
-// Solo measures a job running alone on the chip (one instance per core,
-// context 0).
-func Solo(cfg isa.Config, job Job, opts Options) (RunResult, error) {
-	return run(context.Background(), cfg, job, nil, SMT, opts)
-}
-
-// SoloContext is Solo with cooperative cancellation: the simulation aborts
-// mid-window (engine.RunContext) when ctx is cancelled, and a cancelled
-// leader never poisons concurrent cache followers (simcache.DoContext).
+// SoloContext measures a job running alone on the chip (one instance per
+// core, context 0). The simulation aborts mid-window (engine.RunContext)
+// when ctx is cancelled, and a cancelled leader never poisons concurrent
+// cache followers (simcache.DoContext).
 func SoloContext(ctx context.Context, cfg isa.Config, job Job, opts Options) (RunResult, error) {
 	return run(ctx, cfg, job, nil, SMT, opts)
 }
 
-// Colocate measures job and partner sharing the chip under the given
-// placement. For SMT, instance i of the job runs on core i context 0 and
-// partner instance j on core j context 1. For CMP, the partner occupies
-// cores after the job's.
-func Colocate(cfg isa.Config, job, partner Job, placement Placement, opts Options) (RunResult, error) {
-	return run(context.Background(), cfg, job, partner, placement, opts)
-}
-
-// ColocateContext is Colocate with cooperative cancellation.
+// ColocateContext measures job and partner sharing the chip under the
+// given placement, with cooperative cancellation. For SMT, instance i of
+// the job runs on core i context 0 and partner instance j on core j
+// context 1. For CMP, the partner occupies cores after the job's.
 func ColocateContext(ctx context.Context, cfg isa.Config, job, partner Job, placement Placement, opts Options) (RunResult, error) {
 	return run(ctx, cfg, job, partner, placement, opts)
 }
@@ -368,7 +358,7 @@ type chipBox struct {
 // cached instance when one exists. Reuse is invisible in results: Reset
 // restores a chip bit-identically to its post-New state (the engine pins
 // this), so batched runs hash equal to one-chip-per-cell runs. Callers
-// outside a sched.Map (one-off Solo/Colocate) get a fresh chip.
+// outside a sched.Map (one-off SoloContext/ColocateContext) get a fresh chip.
 func chipFor(ctx context.Context, cfg isa.Config) (*engine.Chip, error) {
 	slot := sched.SlotFrom(ctx)
 	if slot == nil {
@@ -518,33 +508,23 @@ type Characterization struct {
 }
 
 // Profiler characterises applications and measures co-locations on one
-// machine configuration, memoising solo runs. It is safe for concurrent
-// use.
+// machine configuration. It is safe for concurrent use.
 type Profiler struct {
 	cfg  isa.Config
 	set  []*rulers.Ruler
 	opts Options
-
-	mu        sync.Mutex
-	appSolo   map[string]RunResult
-	rulerSolo map[string]float64
 }
 
 // NewProfiler builds a profiler for the configuration using the standard
 // Ruler set sized to its caches. Unless the caller supplied one, every
-// profiler gets its own simulation cache so repeated co-location queries
-// (e.g. the same Ruler pairing reached via different sweeps) simulate once.
+// profiler gets its own simulation cache, the only memo of its runs: the
+// solo baselines of Equations 1 and 2 and every co-location are keyed by
+// content, so each distinct run simulates once.
 func NewProfiler(cfg isa.Config, opts Options) *Profiler {
 	if opts.Cache == nil {
 		opts.Cache = simcache.New[RunResult]()
 	}
-	return &Profiler{
-		cfg:       cfg,
-		set:       rulers.StandardSet(cfg),
-		opts:      opts,
-		appSolo:   make(map[string]RunResult),
-		rulerSolo: make(map[string]float64),
-	}
+	return &Profiler{cfg: cfg, set: rulers.StandardSet(cfg), opts: opts}
 }
 
 // Config returns the profiler's machine configuration.
@@ -565,55 +545,18 @@ func (p *Profiler) CacheStats() simcache.Stats {
 	return p.opts.Cache.Stats()
 }
 
-func soloKey(job Job) string { return fmt.Sprintf("%s/%d", job.Name(), job.Instances()) }
-
-// SoloRun measures (and memoises) a job running alone.
-func (p *Profiler) SoloRun(job Job) (RunResult, error) {
-	return p.SoloRunContext(context.Background(), job)
-}
-
-// SoloRunContext is SoloRun with cooperative cancellation.
+// SoloRunContext measures a job running alone on the profiler's machine
+// (memoised, like every run, by the simulation cache).
 func (p *Profiler) SoloRunContext(ctx context.Context, job Job) (RunResult, error) {
-	key := soloKey(job)
-	p.mu.Lock()
-	if r, ok := p.appSolo[key]; ok {
-		p.mu.Unlock()
-		return r, nil
-	}
-	p.mu.Unlock()
-	r, err := SoloContext(ctx, p.cfg, job, p.opts)
-	if err != nil {
-		return RunResult{}, err
-	}
-	p.mu.Lock()
-	p.appSolo[key] = r
-	p.mu.Unlock()
-	return r, nil
+	return SoloContext(ctx, p.cfg, job, p.opts)
 }
 
-// rulerSoloIPC measures (and memoises) a single Ruler instance running
-// alone; this is the Con denominator of Equation 2.
-func (p *Profiler) rulerSoloIPC(ctx context.Context, r *rulers.Ruler) (float64, error) {
-	p.mu.Lock()
-	if ipc, ok := p.rulerSolo[r.Name]; ok {
-		p.mu.Unlock()
-		return ipc, nil
-	}
-	p.mu.Unlock()
-	res, err := SoloContext(ctx, p.cfg, Rulers(r, 1), p.opts)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	p.rulerSolo[r.Name] = res.AppIPC
-	p.mu.Unlock()
-	return res.AppIPC, nil
-}
-
-// jobFor builds the Job arrangement Characterize uses for a spec:
+// JobFor builds the Job arrangement CharacterizeContext uses for a spec:
 // multithreaded applications are clamped to the machine (half the cores
-// under the CMP half-loaded arrangement).
-func (p *Profiler) jobFor(spec *workload.Spec, placement Placement) Job {
+// under the CMP half-loaded arrangement). Callers building their own cell
+// batches (e.g. the surrogate fitter's sweeps) use it to place applications
+// exactly as the standard characterization would.
+func (p *Profiler) JobFor(spec *workload.Spec, placement Placement) Job {
 	threads := spec.ThreadCount()
 	max := p.cfg.Cores
 	if placement == CMP && threads > 1 {
@@ -626,53 +569,32 @@ func (p *Profiler) jobFor(spec *workload.Spec, placement Placement) Job {
 	return AppThreads(spec, threads)
 }
 
-// JobFor exposes the spec→Job arrangement Characterize uses, so callers
-// building their own cell batches (e.g. the surrogate fitter's sweeps) place
-// applications exactly as the standard characterization would.
-func (p *Profiler) JobFor(spec *workload.Spec, placement Placement) Job {
-	return p.jobFor(spec, placement)
-}
-
-// Characterize measures an application's sensitivity and contentiousness in
-// every sharing dimension by co-locating it with each standard Ruler under
-// the given placement. Multithreaded applications are co-located with one
-// Ruler instance per thread, as in the paper's CloudSuite setup.
-func (p *Profiler) Characterize(spec *workload.Spec, placement Placement) (Characterization, error) {
-	return p.CharacterizeContext(context.Background(), spec, placement)
-}
-
-// CharacterizeContext is Characterize with cooperative cancellation; the
-// per-Ruler cells fan out across the Options.Parallelism worker pool.
+// CharacterizeContext measures an application's sensitivity and
+// contentiousness in every sharing dimension by co-locating it with each
+// standard Ruler under the given placement. Multithreaded applications are
+// co-located with one Ruler instance per thread, as in the paper's
+// CloudSuite setup. The per-Ruler cells fan out across the
+// Options.Parallelism worker pool.
 func (p *Profiler) CharacterizeContext(ctx context.Context, spec *workload.Spec, placement Placement) (Characterization, error) {
-	return p.CharacterizeJobContext(ctx, p.jobFor(spec, placement), placement)
+	return p.CharacterizeJobContext(ctx, p.JobFor(spec, placement), placement)
 }
 
-// CharacterizeJob is Characterize for an explicit Job arrangement, using
-// one Ruler instance per job instance (full pressure).
-func (p *Profiler) CharacterizeJob(job Job, placement Placement) (Characterization, error) {
-	return p.CharacterizeJobContext(context.Background(), job, placement)
-}
-
-// CharacterizeJobContext is CharacterizeJob with cooperative cancellation.
+// CharacterizeJobContext is CharacterizeContext for an explicit Job
+// arrangement, using one Ruler instance per job instance (full pressure).
 func (p *Profiler) CharacterizeJobContext(ctx context.Context, job Job, placement Placement) (Characterization, error) {
 	return p.CharacterizeJobRulersContext(ctx, job, placement, job.Instances())
 }
 
-// CharacterizeJobRulers characterizes a job against a specific Ruler
+// CharacterizeJobRulersContext characterizes a job against a specific Ruler
 // instance count. For multithreaded latency applications this measures the
 // *partial-occupancy* sensitivity Sen(n) — the degradation when only n of
 // the job's sibling contexts carry pressure — which the scale-out studies
 // use to predict co-locations with fewer batch instances than threads.
-// Profiling cost stays Ruler-only: no batch-application cross-product.
-func (p *Profiler) CharacterizeJobRulers(job Job, placement Placement, rulerInstances int) (Characterization, error) {
-	return p.CharacterizeJobRulersContext(context.Background(), job, placement, rulerInstances)
-}
-
-// CharacterizeJobRulersContext is CharacterizeJobRulers with cooperative
-// cancellation. The per-Ruler (application, Ruler) cells — independent
-// simulations — run on the internal/sched worker pool; because each cell
-// writes only its own Sen/Con dimension, the result is bit-identical to
-// the sequential sweep at any Parallelism.
+// Profiling cost stays Ruler-only: no batch-application cross-product. The
+// per-Ruler (application, Ruler) cells — independent simulations — run on
+// the internal/sched worker pool; because each cell writes only its own
+// Sen/Con dimension, the result is bit-identical to the sequential sweep
+// at any Parallelism.
 func (p *Profiler) CharacterizeJobRulersContext(ctx context.Context, job Job, placement Placement, rulerInstances int) (Characterization, error) {
 	ctx, span := trace.Start(ctx, "profile.characterize",
 		trace.String("job", job.Name()), trace.String("placement", placement.String()))
@@ -717,7 +639,9 @@ func (p *Profiler) rulerCell(ctx context.Context, job Job, r *rulers.Ruler, inst
 	ctx, span := trace.Start(ctx, "profile.ruler-cell",
 		trace.String("job", job.Name()), trace.String("ruler", r.Name))
 	defer span.End()
-	rulerIPC, err := p.rulerSoloIPC(ctx, r)
+	// A single Ruler instance running alone is the Con denominator of
+	// Equation 2.
+	base, err := p.SoloRunContext(ctx, Rulers(r, 1))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -725,16 +649,11 @@ func (p *Profiler) rulerCell(ctx context.Context, job Job, r *rulers.Ruler, inst
 	if err != nil {
 		return 0, 0, err
 	}
-	return Degradation(soloIPC, res.AppIPC), Degradation(rulerIPC, res.PartnerIPC), nil
+	return Degradation(soloIPC, res.AppIPC), Degradation(base.AppIPC, res.PartnerIPC), nil
 }
 
-// CharacterizeAll characterises a batch of applications concurrently.
-func (p *Profiler) CharacterizeAll(specs []*workload.Spec, placement Placement) ([]Characterization, error) {
-	return p.CharacterizeAllContext(context.Background(), specs, placement)
-}
-
-// CharacterizeAllContext is CharacterizeAll with cooperative cancellation.
-// Instead of nesting one worker pool per application, the batch is
+// CharacterizeAllContext characterises a batch of applications
+// concurrently. Instead of nesting one worker pool per application, the batch is
 // flattened into its individual simulation cells — every solo run and
 // every (application, Ruler) co-location — and those cells are fanned
 // across one Options.Parallelism-bounded pool, so the batch scales
@@ -745,15 +664,8 @@ func (p *Profiler) CharacterizeAll(specs []*workload.Spec, placement Placement) 
 func (p *Profiler) CharacterizeAllContext(ctx context.Context, specs []*workload.Spec, placement Placement) ([]Characterization, error) {
 	jobs := make([]Job, len(specs))
 	for i, s := range specs {
-		jobs[i] = p.jobFor(s, placement)
+		jobs[i] = p.JobFor(s, placement)
 	}
-	return p.characterizeJobs(ctx, jobs, placement)
-}
-
-// CharacterizeJobsContext characterizes explicit Job arrangements with the
-// same flat-cell scheduling as CharacterizeAllContext, for callers (such as
-// the experiment Lab) that size thread counts themselves.
-func (p *Profiler) CharacterizeJobsContext(ctx context.Context, jobs []Job, placement Placement) ([]Characterization, error) {
 	return p.characterizeJobs(ctx, jobs, placement)
 }
 
@@ -772,8 +684,8 @@ func (p *Profiler) characterizeJobs(ctx context.Context, jobs []Job, placement P
 	tick := func() { p.opts.progress(int(done.Add(1)), total) }
 
 	// Phase 1: every solo run — each application arrangement plus the
-	// Ruler baselines of Equation 2 — warms the profiler memos in
-	// parallel, so phase 2's cells never duplicate a solo simulation.
+	// Ruler baselines of Equation 2 — warms the run cache in parallel, so
+	// phase 2's cells never duplicate a solo simulation.
 	phaseCtx, phase := trace.Start(ctx, "profile.solo-phase",
 		trace.Int("jobs", len(jobs)), trace.Int("rulers", nr))
 	out := make([]Characterization, len(jobs))
@@ -792,7 +704,7 @@ func (p *Profiler) characterizeJobs(ctx context.Context, jobs []Job, placement P
 			tick()
 			return nil
 		}
-		if _, err := p.rulerSoloIPC(ctx, p.set[i-len(jobs)]); err != nil {
+		if _, err := p.SoloRunContext(ctx, Rulers(p.set[i-len(jobs)], 1)); err != nil {
 			return err
 		}
 		tick()
@@ -844,11 +756,6 @@ type SweepResult struct {
 	Samples          [rulers.NumDimensions][]SweepSample
 }
 
-// CharacterizeSweep measures the (dimension × intensity) grid for each job.
-func (p *Profiler) CharacterizeSweep(jobs []Job, placement Placement, intensities []float64) ([]SweepResult, error) {
-	return p.CharacterizeSweepContext(context.Background(), jobs, placement, intensities)
-}
-
 // SweepGrid normalizes a requested intensity list: clamped into (0, 1],
 // deduplicated, ascending, with 1.0 always present (the grid's last column
 // doubles as the standard characterization). Exported so sweep consumers
@@ -873,8 +780,8 @@ func SweepGrid(intensities []float64) []float64 {
 	return xs
 }
 
-// CharacterizeSweepContext is CharacterizeSweep with cooperative
-// cancellation. Like CharacterizeAllContext it flattens the batch into
+// CharacterizeSweepContext measures the (dimension × intensity) grid for
+// each job. Like CharacterizeAllContext it flattens the batch into
 // independent simulation cells — every job and Ruler solo plus one
 // co-location per (job, dimension, intensity) — and fans them across one
 // Parallelism-bounded worker pool, each worker reusing a single pooled chip
@@ -891,7 +798,7 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 	nr, nx := len(p.set), len(xs)
 	rulerAt := func(ri, xi int) *rulers.Ruler {
 		if xs[xi] == 1 {
-			return p.set[ri] // standard column: bit-identical to CharacterizeAll
+			return p.set[ri] // standard column: bit-identical to CharacterizeAllContext
 		}
 		return p.set[ri].WithIntensity(xs[xi])
 	}
@@ -902,7 +809,7 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 	tick := func() { p.opts.progress(int(done.Add(1)), total) }
 
 	// Phase 1: all solo runs — each job plus every (Ruler, intensity)
-	// baseline of Equation 2 — warm the profiler memos in parallel.
+	// baseline of Equation 2 — warm the run cache in parallel.
 	phaseCtx, phase := trace.Start(ctx, "profile.sweep-solo-phase",
 		trace.Int("jobs", len(jobs)), trace.Int("cells", solos))
 	out := make([]SweepResult, len(jobs))
@@ -925,7 +832,7 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 			return nil
 		}
 		ri, xi := (i-len(jobs))/nx, (i-len(jobs))%nx
-		if _, err := p.rulerSoloIPC(ctx, rulerAt(ri, xi)); err != nil {
+		if _, err := p.SoloRunContext(ctx, Rulers(rulerAt(ri, xi), 1)); err != nil {
 			return err
 		}
 		tick()
@@ -970,23 +877,13 @@ type PairMeasurement struct {
 	DegA, DegB float64
 }
 
-// MeasurePair measures the mutual degradation of two applications under
-// the given placement.
-func (p *Profiler) MeasurePair(a, b *workload.Spec, placement Placement) (PairMeasurement, error) {
-	return p.MeasurePairContext(context.Background(), a, b, placement)
-}
-
-// MeasurePairContext is MeasurePair with cooperative cancellation.
+// MeasurePairContext measures the mutual degradation of two applications
+// under the given placement.
 func (p *Profiler) MeasurePairContext(ctx context.Context, a, b *workload.Spec, placement Placement) (PairMeasurement, error) {
 	return p.MeasureJobsContext(ctx, App(a), App(b), placement)
 }
 
-// MeasureJobs measures the mutual degradation of two explicit jobs.
-func (p *Profiler) MeasureJobs(a, b Job, placement Placement) (PairMeasurement, error) {
-	return p.MeasureJobsContext(context.Background(), a, b, placement)
-}
-
-// MeasureJobsContext is MeasureJobs with cooperative cancellation.
+// MeasureJobsContext measures the mutual degradation of two explicit jobs.
 func (p *Profiler) MeasureJobsContext(ctx context.Context, a, b Job, placement Placement) (PairMeasurement, error) {
 	soloA, err := p.SoloRunContext(ctx, a)
 	if err != nil {
@@ -1007,14 +904,9 @@ func (p *Profiler) MeasureJobsContext(ctx context.Context, a, b Job, placement P
 	}, nil
 }
 
-// MeasurePairs measures all distinct pairs {a, b} from the two sets
+// MeasurePairsContext measures all distinct pairs {a, b} from the two sets
 // concurrently. Each unordered pair is co-located once — a single run
-// yields both sides' degradations — and same-name pairs are skipped.
-func (p *Profiler) MeasurePairs(as, bs []*workload.Spec, placement Placement) ([]PairMeasurement, error) {
-	return p.MeasurePairsContext(context.Background(), as, bs, placement)
-}
-
-// MeasurePairsContext is MeasurePairs with cooperative cancellation. The
+// yields both sides' degradations — and same-name pairs are skipped. The
 // per-pair measurements run on the internal/sched worker pool; each writes
 // its own index-addressed slot, so results are bit-identical to the
 // sequential sweep at any Parallelism. Options.Progress, when set, is

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rulers"
@@ -47,16 +48,16 @@ func TestPlacementValidation(t *testing.T) {
 	spec, _ := workload.ByName("456.hmmer")
 	opts := FastOptions()
 	// SMT partner beyond core count.
-	if _, err := Colocate(cfg, App(spec), Rulers(rulers.FPAdd(), 3), SMT, opts); err == nil {
+	if _, err := ColocateContext(context.Background(), cfg, App(spec), Rulers(rulers.FPAdd(), 3), SMT, opts); err == nil {
 		t.Error("oversubscribed SMT placement accepted")
 	}
 	// CMP needs job+partner cores.
-	if _, err := Colocate(cfg, App(spec), Rulers(rulers.FPAdd(), 2), CMP, opts); err == nil {
+	if _, err := ColocateContext(context.Background(), cfg, App(spec), Rulers(rulers.FPAdd(), 2), CMP, opts); err == nil {
 		t.Error("oversubscribed CMP placement accepted")
 	}
 	// Job larger than the machine.
 	ws, _ := workload.ByName("web-search") // 6 threads
-	if _, err := Solo(cfg, App(ws), opts); err == nil {
+	if _, err := SoloContext(context.Background(), cfg, App(ws), opts); err == nil {
 		t.Error("6-thread job accepted on a 2-core machine")
 	}
 }
@@ -67,11 +68,11 @@ func TestSoloRunMemoization(t *testing.T) {
 	}
 	p := NewProfiler(testConfig(), FastOptions())
 	spec, _ := workload.ByName("456.hmmer")
-	a, err := p.SoloRun(App(spec))
+	a, err := p.SoloRunContext(context.Background(), App(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.SoloRun(App(spec))
+	b, err := p.SoloRunContext(context.Background(), App(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestCharacterizationDeterminism(t *testing.T) {
 	spec, _ := workload.ByName("445.gobmk")
 	p1 := NewProfiler(testConfig(), FastOptions())
 	p2 := NewProfiler(testConfig(), FastOptions())
-	c1, err := p1.Characterize(spec, SMT)
+	c1, err := p1.CharacterizeContext(context.Background(), spec, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := p2.Characterize(spec, SMT)
+	c2, err := p2.CharacterizeContext(context.Background(), spec, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestMeasurePairsDeduplicates(t *testing.T) {
 	a, _ := workload.ByName("456.hmmer")
 	b, _ := workload.ByName("444.namd")
 	set := []*workload.Spec{a, b}
-	pairs, err := p.MeasurePairs(set, set, SMT)
+	pairs, err := p.MeasurePairsContext(context.Background(), set, set, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestMultithreadedCharacterizationClamped(t *testing.T) {
 	// web-search wants 6 threads; a 2-core machine must clamp, not fail.
 	p := NewProfiler(testConfig(), FastOptions())
 	ws, _ := workload.ByName("web-search")
-	ch, err := p.Characterize(ws, SMT)
+	ch, err := p.CharacterizeContext(context.Background(), ws, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rulers"
@@ -29,11 +30,11 @@ func TestCharacterizeProducesDecoupledProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chNamd, err := p.Characterize(namd, SMT)
+	chNamd, err := p.CharacterizeContext(context.Background(), namd, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chMcf, err := p.Characterize(mcf, SMT)
+	chMcf, err := p.CharacterizeContext(context.Background(), mcf, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestMeasurePairSymmetricAPI(t *testing.T) {
 	p := NewProfiler(testConfig(), FastOptions())
 	a, _ := workload.ByName("456.hmmer")
 	b, _ := workload.ByName("470.lbm")
-	pm, err := p.MeasurePair(a, b, SMT)
+	pm, err := p.MeasurePairContext(context.Background(), a, b, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestMeasurePairSymmetricAPI(t *testing.T) {
 	if pm.DegA < -0.05 || pm.DegA > 1 || pm.DegB < -0.05 || pm.DegB > 1 {
 		t.Errorf("degradations out of range: %+v", pm)
 	}
-	cmp, err := p.MeasurePair(a, b, CMP)
+	cmp, err := p.MeasurePairContext(context.Background(), a, b, CMP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -160,14 +161,14 @@ func TestProfileCheckOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := profile.Solo(cfg, profile.App(mcf), opts); err != nil {
+	if _, err := profile.SoloContext(context.Background(), cfg, profile.App(mcf), opts); err != nil {
 		t.Errorf("checked solo run failed: %v", err)
 	}
 	r := rulers.For(cfg, rulers.DimL3)
-	if _, err := profile.Colocate(cfg, profile.App(mcf), profile.Rulers(r, 1), profile.SMT, opts); err != nil {
+	if _, err := profile.ColocateContext(context.Background(), cfg, profile.App(mcf), profile.Rulers(r, 1), profile.SMT, opts); err != nil {
 		t.Errorf("checked SMT co-location failed: %v", err)
 	}
-	if _, err := profile.Colocate(cfg, profile.App(mcf), profile.Rulers(r, 1), profile.CMP, opts); err != nil {
+	if _, err := profile.ColocateContext(context.Background(), cfg, profile.App(mcf), profile.Rulers(r, 1), profile.CMP, opts); err != nil {
 		t.Errorf("checked CMP co-location failed: %v", err)
 	}
 }

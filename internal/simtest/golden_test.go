@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -75,30 +76,30 @@ func goldenCases(t *testing.T, check bool) []struct {
 		run  func() (profile.RunResult, error)
 	}{
 		{"ivb2/solo/429.mcf", func() (profile.RunResult, error) {
-			return profile.Solo(ivb, app("429.mcf"), opts)
+			return profile.SoloContext(context.Background(), ivb, app("429.mcf"), opts)
 		}},
 		{"ivb2/smt/444.namd+429.mcf", func() (profile.RunResult, error) {
-			return profile.Colocate(ivb, app("444.namd"), app("429.mcf"), profile.SMT, opts)
+			return profile.ColocateContext(context.Background(), ivb, app("444.namd"), app("429.mcf"), profile.SMT, opts)
 		}},
 		{"ivb2/smt/470.lbm+MEM_BW", func() (profile.RunResult, error) {
 			r := rulers.For(ivb, rulers.DimMemBW)
-			return profile.Colocate(ivb, app("470.lbm"), profile.Rulers(r, 1), profile.SMT, opts)
+			return profile.ColocateContext(context.Background(), ivb, app("470.lbm"), profile.Rulers(r, 1), profile.SMT, opts)
 		}},
 		{"ivb2/smt/401.bzip2+L3@0.50", func() (profile.RunResult, error) {
 			r := rulers.For(ivb, rulers.DimL3).WithIntensity(0.5)
-			return profile.Colocate(ivb, app("401.bzip2"), profile.Rulers(r, 1), profile.SMT, opts)
+			return profile.ColocateContext(context.Background(), ivb, app("401.bzip2"), profile.Rulers(r, 1), profile.SMT, opts)
 		}},
 		{"ivb2/cmp/483.xalancbmk+429.mcf", func() (profile.RunResult, error) {
-			return profile.Colocate(ivb, app("483.xalancbmk"), app("429.mcf"), profile.CMP, opts)
+			return profile.ColocateContext(context.Background(), ivb, app("483.xalancbmk"), app("429.mcf"), profile.CMP, opts)
 		}},
 		{"snb2/smt/433.milc+456.hmmer", func() (profile.RunResult, error) {
-			return profile.Colocate(snb, app("433.milc"), app("456.hmmer"), profile.SMT, opts)
+			return profile.ColocateContext(context.Background(), snb, app("433.milc"), app("456.hmmer"), profile.SMT, opts)
 		}},
 		{"snb2/solo/web-search.x2", func() (profile.RunResult, error) {
-			return profile.Solo(snb, profile.AppThreads(spec("web-search"), 2), opts)
+			return profile.SoloContext(context.Background(), snb, profile.AppThreads(spec("web-search"), 2), opts)
 		}},
 		{"p7x2/smt/444.namd+429.mcf", func() (profile.RunResult, error) {
-			return profile.Colocate(p7, app("444.namd"), app("429.mcf"), profile.SMT, opts)
+			return profile.ColocateContext(context.Background(), p7, app("444.namd"), app("429.mcf"), profile.SMT, opts)
 		}},
 	}
 }

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/isol"
@@ -40,7 +41,7 @@ func TestWayPartitionMonotonicity(t *testing.T) {
 		opts := TinyOptions()
 		opts.BaseSeed = seed + 1
 
-		solo, err := profile.Solo(cfg, profile.App(spec), opts)
+		solo, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), opts)
 		if err != nil {
 			t.Fatalf("seed %d solo: %v", seed, err)
 		}
@@ -50,7 +51,7 @@ func TestWayPartitionMonotonicity(t *testing.T) {
 			// Victim on core 0 context 0 (gid 0), aggressor on its SMT
 			// sibling (gid 1); the other core stays unrestricted.
 			pcfg.Isolation = isol.Policy{WayMasks: []uint64{v, a}}
-			res, err := profile.Colocate(pcfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
+			res, err := profile.ColocateContext(context.Background(), pcfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
 			if err != nil {
 				t.Fatalf("seed %d ways %d: %v", seed, victimWays, err)
 			}
@@ -80,7 +81,7 @@ func TestThrottleMonotonicity(t *testing.T) {
 		opts := TinyOptions()
 		opts.BaseSeed = seed + 1
 
-		solo, err := profile.Solo(cfg, profile.App(spec), opts)
+		solo, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), opts)
 		if err != nil {
 			t.Fatalf("seed %d solo: %v", seed, err)
 		}
@@ -90,7 +91,7 @@ func TestThrottleMonotonicity(t *testing.T) {
 				// Throttle only the aggressor (gid 1).
 				pcfg.Isolation = isol.Policy{MemBudgets: []isol.MemBudget{{}, {Tokens: 4, RefillCycles: refill}}}
 			}
-			res, err := profile.Colocate(pcfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
+			res, err := profile.ColocateContext(context.Background(), pcfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
 			if err != nil {
 				t.Fatalf("seed %d refill %d: %v", seed, refill, err)
 			}
@@ -121,7 +122,7 @@ func TestIsolationDeterminism(t *testing.T) {
 	ruler := rulers.For(cfg, rulers.DimL3)
 	opts := TinyOptions()
 	run := func() uint64 {
-		res, err := profile.Colocate(cfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
+		res, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,15 +146,15 @@ func TestSMT4Smoke(t *testing.T) {
 	ruler := rulers.For(cfg, rulers.DimL2)
 	opts := TinyOptions()
 
-	solo, err := profile.Solo(cfg, profile.App(spec), opts)
+	solo, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), opts)
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
-	one, err := profile.Colocate(cfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
+	one, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.Rulers(ruler, 1), profile.SMT, opts)
 	if err != nil {
 		t.Fatalf("1 sibling: %v", err)
 	}
-	three, err := profile.Colocate(cfg, profile.App(spec), profile.Rulers(ruler, 3), profile.SMT, opts)
+	three, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.Rulers(ruler, 3), profile.SMT, opts)
 	if err != nil {
 		t.Fatalf("3 siblings: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestBigLittleSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := TinyOptions()
-	res, err := profile.Solo(cfg, profile.AppThreads(spec, 2), opts)
+	res, err := profile.SoloContext(context.Background(), cfg, profile.AppThreads(spec, 2), opts)
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestDeterminism(t *testing.T) {
 		opts.BaseSeed = seed + 1
 
 		run := func() uint64 {
-			res, err := profile.Colocate(cfg, profile.App(spec), profile.Rulers(ruler, 1), placement, opts)
+			res, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.Rulers(ruler, 1), placement, opts)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -75,11 +76,11 @@ func TestDegradationNonNegative(t *testing.T) {
 		opts := TinyOptions()
 		opts.BaseSeed = seed + 1
 
-		solo, err := profile.Solo(cfg, profile.App(spec), opts)
+		solo, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), opts)
 		if err != nil {
 			t.Fatalf("seed %d solo: %v", seed, err)
 		}
-		co, err := profile.Colocate(cfg, profile.App(spec), profile.Rulers(ruler, 1), placement, opts)
+		co, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.Rulers(ruler, 1), placement, opts)
 		if err != nil {
 			t.Fatalf("seed %d colocate: %v", seed, err)
 		}
@@ -110,13 +111,13 @@ func TestRulerIntensityMonotonicity(t *testing.T) {
 		opts := TinyOptions()
 		opts.BaseSeed = seed + 1
 
-		solo, err := profile.Solo(cfg, profile.App(spec), opts)
+		solo, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), opts)
 		if err != nil {
 			t.Fatalf("seed %d solo: %v", seed, err)
 		}
 		deg := func(intensity float64) float64 {
 			ruler := rulers.For(cfg, dim).WithIntensity(intensity)
-			res, err := profile.Colocate(cfg, profile.App(spec), profile.Rulers(ruler, 1), placement, opts)
+			res, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.Rulers(ruler, 1), placement, opts)
 			if err != nil {
 				t.Fatalf("seed %d intensity %.1f: %v", seed, intensity, err)
 			}
@@ -145,11 +146,11 @@ func TestCrossContextIsolation(t *testing.T) {
 		opts := TinyOptions()
 		opts.BaseSeed = seed + 1
 
-		solo, err := profile.Solo(cfg, profile.App(spec), opts)
+		solo, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), opts)
 		if err != nil {
 			t.Fatalf("seed %d solo: %v", seed, err)
 		}
-		co, err := profile.Colocate(cfg, profile.App(spec), profile.App(nop), profile.CMP, opts)
+		co, err := profile.ColocateContext(context.Background(), cfg, profile.App(spec), profile.App(nop), profile.CMP, opts)
 		if err != nil {
 			t.Fatalf("seed %d colocate: %v", seed, err)
 		}
@@ -197,11 +198,11 @@ func TestScaleConsistency(t *testing.T) {
 
 	degAt := func(opts profile.Options, a, b *workload.Spec) float64 {
 		opts.Check = true
-		solo, err := profile.Solo(cfg, profile.App(a), opts)
+		solo, err := profile.SoloContext(context.Background(), cfg, profile.App(a), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		co, err := profile.Colocate(cfg, profile.App(a), profile.App(b), profile.SMT, opts)
+		co, err := profile.ColocateContext(context.Background(), cfg, profile.App(a), profile.App(b), profile.SMT, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +265,7 @@ func TestParallelismIndependence(t *testing.T) {
 			opts := TinyOptions()
 			opts.BaseSeed = seed + 1
 			opts.Parallelism = workers
-			got, err := profile.NewProfiler(cfg, opts).CharacterizeAll(specs, placement)
+			got, err := profile.NewProfiler(cfg, opts).CharacterizeAllContext(context.Background(), specs, placement)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}

@@ -51,7 +51,7 @@ func TestSurrogateBoundContainment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d fit: %v", seed, err)
 		}
-		engine, err := profile.NewProfiler(cfg, opts).CharacterizeAll(specs, placement)
+		engine, err := profile.NewProfiler(cfg, opts).CharacterizeAllContext(context.Background(), specs, placement)
 		if err != nil {
 			t.Fatalf("seed %d engine: %v", seed, err)
 		}

@@ -4,10 +4,10 @@
 // remaining the ground truth the curves are fitted — and bounded — against.
 //
 // The fitter (Fit) samples each application's (dimension, intensity) grid
-// through profile.CharacterizeSweep, fits one saturating roofline-style
-// curve per resource dimension by least squares (internal/linalg), and
-// records the curve's maximum and mean absolute residual over the training
-// grid as first-class artifacts. Those residuals make every surrogate
+// through profile.CharacterizeSweepContext, fits one saturating
+// roofline-style curve per resource dimension by least squares
+// (internal/linalg), and records each curve's maximum and mean absolute
+// residual over the training grid as first-class artifacts. Those residuals make every surrogate
 // answer carry a certificate: Set.Predict propagates the per-dimension
 // curve bounds through Equation 3, so the returned Prediction.Bound is a
 // sound upper bound on |surrogate − engine| at the training grid points —

@@ -160,7 +160,7 @@ func TestFitBoundContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := profile.NewProfiler(cfg, opts).CharacterizeAll(specs, profile.SMT)
+	engine, err := profile.NewProfiler(cfg, opts).CharacterizeAllContext(context.Background(), specs, profile.SMT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,7 +300,7 @@ func LoadSurrogate(path string) (*Surrogate, error) { return surrogate.ReadSetFi
 // Characterize measures an application's sensitivity and contentiousness
 // along every sharing dimension by co-locating it with each Ruler.
 func (s *System) Characterize(spec *Spec, placement Placement) (Characterization, error) {
-	return s.prof.Characterize(spec, placement)
+	return s.prof.CharacterizeContext(context.Background(), spec, placement)
 }
 
 // CharacterizeContext is Characterize with cooperative cancellation: the
@@ -309,9 +309,15 @@ func (s *System) CharacterizeContext(ctx context.Context, spec *Spec, placement 
 	return s.prof.CharacterizeContext(ctx, spec, placement)
 }
 
+// CharacterizeJob characterizes an arbitrary job (for example a TraceJob)
+// exactly like a stock workload.
+func (s *System) CharacterizeJob(job profile.Job, placement Placement) (Characterization, error) {
+	return s.prof.CharacterizeJobContext(context.Background(), job, placement)
+}
+
 // CharacterizeAll characterizes a batch of applications concurrently.
 func (s *System) CharacterizeAll(specs []*Spec, placement Placement) ([]Characterization, error) {
-	return s.prof.CharacterizeAll(specs, placement)
+	return s.prof.CharacterizeAllContext(context.Background(), specs, placement)
 }
 
 // CharacterizeAllContext is CharacterizeAll with cooperative cancellation.
@@ -325,7 +331,7 @@ func (s *System) CharacterizeAllContext(ctx context.Context, specs []*Spec, plac
 // MeasurePair measures the mutual degradation of two applications — the
 // ground truth used for model training and validation.
 func (s *System) MeasurePair(a, b *Spec, placement Placement) (PairMeasurement, error) {
-	return s.prof.MeasurePair(a, b, placement)
+	return s.prof.MeasurePairContext(context.Background(), a, b, placement)
 }
 
 // MeasurePairContext is MeasurePair with cooperative cancellation.
@@ -335,7 +341,7 @@ func (s *System) MeasurePairContext(ctx context.Context, a, b *Spec, placement P
 
 // MeasurePairs measures all distinct pairs between two sets.
 func (s *System) MeasurePairs(as, bs []*Spec, placement Placement) ([]PairMeasurement, error) {
-	return s.prof.MeasurePairs(as, bs, placement)
+	return s.prof.MeasurePairsContext(context.Background(), as, bs, placement)
 }
 
 // MeasurePairsContext is MeasurePairs with cooperative cancellation and

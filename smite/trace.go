@@ -51,9 +51,3 @@ func TraceJob(name string, uops []Uop, instances int, footprintBytes ...uint64) 
 		return s
 	})
 }
-
-// CharacterizeJob characterizes an arbitrary job (for example a TraceJob)
-// exactly like a stock workload.
-func (s *System) CharacterizeJob(job profile.Job, placement Placement) (Characterization, error) {
-	return s.prof.CharacterizeJob(job, placement)
-}
