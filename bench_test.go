@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	clusterworkload "repro/internal/cluster/workload"
-	"repro/internal/ctrl"
 	"repro/internal/experiments"
 	"repro/internal/isol"
 	"repro/internal/profile"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/sim/engine"
 	"repro/internal/sim/isa"
 	"repro/internal/slo"
-	"repro/internal/surrogate"
 	"repro/internal/workload"
 	"repro/smite"
 )
@@ -1109,24 +1107,6 @@ func BenchmarkClusterSimIsolation(b *testing.B) {
 	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// benchSource is a no-measurement re-characterization source for
-// BenchmarkClosedLoopStep: it hands back fresh copies of the synthetic
-// world's surrogate models so the benchmark isolates the controller's
-// own cost (flag bookkeeping, model merge, atomic swap, detector reset)
-// from the engine sweep a real source would run.
-type benchSource struct {
-	models map[string]*surrogate.Model
-}
-
-func (s *benchSource) Recharacterize(_ context.Context, apps []string) (map[string]*surrogate.Model, error) {
-	out := make(map[string]*surrogate.Model, len(apps))
-	for _, app := range apps {
-		m := *s.models[app]
-		out[app] = &m
-	}
-	return out, nil
-}
-
 // BenchmarkPredictorSeam measures the unified Predict seam end to end:
 // one TieredPredictor.Predict call per (lat, batch, n) cell of a
 // synthetic world, covering both the surrogate hit path (closed-form
@@ -1167,47 +1147,4 @@ func BenchmarkPredictorSeam(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "predictions/sec")
-}
-
-// BenchmarkClosedLoopStep measures one full closed-loop cycle: stream
-// drift-confirming observations into the controller, then Step —
-// re-characterize the flagged app through a canned source, hot-swap the
-// refreshed set behind the tiered predictor, and reset the detector.
-// ns/op is the per-cycle actuation cost excluding any real engine sweep.
-func BenchmarkClosedLoopStep(b *testing.B) {
-	const nLat, nBatch, maxInst = 2, 2, 4
-	set, tbl, err := cluster.SyntheticWorld(nLat, nBatch, maxInst, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tiered := cluster.NewTieredPredictor(
-		&cluster.SurrogatePredictor{Set: set, Capacity: maxInst},
-		&cluster.TablePredictor{Table: tbl},
-	)
-	src := &benchSource{models: make(map[string]*surrogate.Model, len(set.Models))}
-	for app, m := range set.Models {
-		refreshed := *m
-		src.models[app] = &refreshed
-	}
-	c := ctrl.New(ctrl.Config{
-		Detector: ctrl.DetectorConfig{MinSamples: 2, Threshold: 0.1},
-		Source:   src,
-		Tiered:   tiered,
-	})
-	ctx := context.Background()
-	pred := cluster.Prediction{Deg: 0.1, Bound: 0.01, Tier: cluster.TierSurrogate}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		confirmed := false
-		for j := 0; j < 10 && !confirmed; j++ {
-			confirmed = c.Observe("latsvc-00", 3, 0.5, pred)
-		}
-		if !confirmed {
-			b.Fatal("drift never confirmed")
-		}
-		if _, err := c.Step(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

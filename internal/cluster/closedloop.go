@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/ctrl/drift"
 	"repro/internal/slo"
 )
 
@@ -13,9 +12,9 @@ import (
 // (DESIGN.md §14): DriftSpec injects a mid-run shift of the *measured*
 // degradation surface — the ground truth moves, the prediction table does
 // not — and PolicyClosedLoop reacts: each shard runs a windowed CUSUM
-// detector (internal/ctrl/drift) over its observed-vs-predicted
-// degradations, re-characterizes confirmed (lat, batch) pairs against the
-// measured surface, re-scores its admission gate through the same
+// detector (drift.go) over its observed-vs-predicted degradations,
+// re-characterizes confirmed (lat, batch) pairs against the measured
+// surface, re-scores its admission gate through the same
 // slo.EvaluateAdmission check the static gate was built with, and
 // migrates the worst-offending machine's newest instance off the drifted
 // cell. Everything is shard-local and event-ordered, so runs stay
@@ -106,19 +105,13 @@ func buildDriftWorld(t *PredTable, p *SLOSimParams, spec *DriftSpec, target floa
 	return w
 }
 
-// simDriftDetector is the per-shard detector tuning: the synthetic
-// world's measurement noise (|actual − predicted| a few thousandths) sits
-// well under the allowance, while a drifted cell's excess is tens of
-// points per placement, so confirmation lands at the MinSamples floor.
-var simDriftDetector = drift.Config{MinSamples: 4, Allowance: 0.02, Threshold: 0.12}
-
 // closedLoop is PolicyClosedLoop: one shard's mutable copy of the SLO
 // admission surface plus its detector. Cells re-characterize at
 // (lat, batch)-pair granularity: one confirmed detection refreshes the
 // pair's whole instance-count column.
 type closedLoop struct {
 	s   *shardSim
-	det *drift.Detector
+	det *driftDetector
 
 	// Shard-local working surfaces, seeded from the static table/gate and
 	// rewritten in place on re-characterization.
@@ -134,7 +127,7 @@ func newClosedLoop(s *shardSim) admission {
 	cur := surface{admit: slices.Clone(g.admit), slack: slices.Clone(g.slack)}
 	return &closedLoop{
 		s:         s,
-		det:       drift.New(simDriftDetector),
+		det:       newDriftDetector(),
 		predDeg:   slices.Clone(t.PredDeg),
 		predBound: slices.Clone(t.PredBound),
 		cur:       cur,
@@ -162,7 +155,7 @@ func (cl *closedLoop) placed(local int32, b, cell int, at float64) {
 	s := cl.s
 	s.countViolation(local, cell, at)
 	lat := int(s.machines[local].lat)
-	if !cl.det.Observe(s.pairID(lat, b), s.actualDegAt(at, cell), cl.predDeg[cell], cl.predBound[cell]) {
+	if !cl.det.observe(s.pairID(lat, b), s.actualDegAt(at, cell), cl.predDeg[cell], cl.predBound[cell]) {
 		return
 	}
 	s.res.detections++
@@ -188,7 +181,7 @@ func (cl *closedLoop) recharacterize(lat, b int, at float64) {
 		cl.cur.admit[i] = dec.Admitted
 		cl.cur.slack[i] = dec.EffectiveBudget - dec.Tail
 	}
-	cl.det.Reset(s.pairID(lat, b))
+	cl.det.reset(s.pairID(lat, b))
 	s.res.recharacterized++
 }
 

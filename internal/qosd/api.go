@@ -115,10 +115,9 @@ type PredictResponse struct {
 	// on TierSurrogate answers.
 	ErrorBound float64 `json:"error_bound,omitempty"`
 	// Generation is the registry generation the answer was computed
-	// under; it increments on every profile upload or model swap. A
-	// closed-loop controller uses it to tell whether a
-	// re-characterization landed between two predictions for the same
-	// pair without re-fetching the profile list.
+	// under; it increments on every profile upload or model swap, so a
+	// client can tell whether a re-characterization landed between two
+	// predictions for the same pair without re-fetching the profile list.
 	Generation uint64 `json:"generation,omitempty"`
 }
 

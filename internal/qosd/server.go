@@ -745,9 +745,9 @@ type prediction struct {
 	tier  string
 	bound float64
 	// gen is the registry generation the answer was computed under. A
-	// closed-loop controller compares it across calls to tell whether a
-	// re-characterization (profile upload, model swap) landed between two
-	// predictions for the same pair.
+	// client compares it across calls to tell whether a re-characterization
+	// (profile upload, model swap) landed between two predictions for the
+	// same pair.
 	gen uint64
 }
 

@@ -61,7 +61,7 @@ func TestSurrogateBoundContainment(t *testing.T) {
 		}
 		for _, v := range specs {
 			for _, a := range specs {
-				pred, err := set.PredictWith(eq3, v.Name, a.Name)
+				pred, err := set.PredictWith(eq3, v.Name, a.Name, 1)
 				if err != nil {
 					t.Fatalf("seed %d %s|%s: %v", seed, v.Name, a.Name, err)
 				}

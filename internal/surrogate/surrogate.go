@@ -49,7 +49,13 @@ func (c Curve) At(x float64) float64 {
 	if x > 1 {
 		x = 1
 	}
-	return c.Coef[0]*x + c.Coef[1]*math.Sqrt(x) + c.Coef[2]*x*x
+	return c.at(x, math.Sqrt(x))
+}
+
+// at evaluates the basis at x in (0, 1] given sqrtX = √x, so a caller
+// evaluating many curves at one intensity takes the square root once.
+func (c Curve) at(x, sqrtX float64) float64 {
+	return c.Coef[0]*x + c.Coef[1]*sqrtX + c.Coef[2]*x*x
 }
 
 // Model is one application's fitted surrogate: per-dimension sensitivity
@@ -145,7 +151,10 @@ func (s *Set) Characterizations() []profile.Characterization {
 
 // PredictWith evaluates Equation 3 with the given coefficient vector on
 // the surrogate feature vectors of victim and aggressor, and propagates
-// the curves' residual bounds into a certificate.
+// the curves' residual bounds into a certificate. x is the aggressor's
+// intensity, clamped to 1: its contentiousness curves are evaluated at x
+// and the intercept, which must vanish at zero pressure, is scaled by it
+// (as in model.Smite.PredictPartial). Pairwise predictions pass x = 1.
 //
 // Soundness of the bound: writing the surrogate features sen = sen* + εs
 // and con = con* + εc against the engine features sen*, con* the curves
@@ -157,7 +166,7 @@ func (s *Set) Characterizations() []profile.Characterization {
 // Es, Ec the recorded MaxAbsErr of the two curves. Summing over
 // dimensions gives Bound ≥ |surrogate prediction − the same model
 // evaluated on engine features at the training grid|.
-func (s *Set) PredictWith(m model.Smite, victim, aggressor string) (Prediction, error) {
+func (s *Set) PredictWith(m model.Smite, victim, aggressor string, x float64) (Prediction, error) {
 	mv, err := s.Model(victim)
 	if err != nil {
 		return Prediction{}, err
@@ -166,9 +175,18 @@ func (s *Set) PredictWith(m model.Smite, victim, aggressor string) (Prediction, 
 	if err != nil {
 		return Prediction{}, err
 	}
-	pred := Prediction{Degradation: m.Intercept}
+	if x > 1 {
+		x = 1
+	}
+	// Every aggressor curve is evaluated at x, so the square root is taken
+	// once; as in Curve.At, the curves vanish at x <= 0.
+	sqrtX := math.Sqrt(x)
+	pred := Prediction{Degradation: m.Intercept * x}
 	for d := range m.Coef {
-		sen, con := mv.Sen[d].At(1), ma.Con[d].At(1)
+		sen, con := mv.Sen[d].At(1), 0.0
+		if x > 0 {
+			con = ma.Con[d].at(x, sqrtX)
+		}
 		es, ec := mv.Sen[d].MaxAbsErr, ma.Con[d].MaxAbsErr
 		pred.Degradation += m.Coef[d] * sen * con
 		pred.Bound += math.Abs(m.Coef[d]) * (math.Abs(sen)*ec + es*math.Abs(con) + es*ec)
@@ -182,5 +200,5 @@ func (s *Set) Predict(victim, aggressor string) (Prediction, error) {
 	if s.Eq3 == nil {
 		return Prediction{}, fmt.Errorf("surrogate: set has no embedded Eq3 model (run TrainEq3 or smite fit -train)")
 	}
-	return s.PredictWith(*s.Eq3, victim, aggressor)
+	return s.PredictWith(*s.Eq3, victim, aggressor, 1)
 }

@@ -107,7 +107,9 @@ func syntheticSet() *Set {
 
 // TestPredictWithBound checks the hand-computable propagation: with every
 // dimension identical, prediction and bound are NumDimensions times the
-// per-dimension terms.
+// per-dimension terms. At intensity x the aggressor's curves (Coef{con}
+// alone, so At(x) == con·x) and the intercept scale by x; above 1, x
+// clamps to full intensity, and at zero pressure the curves vanish.
 func TestPredictWithBound(t *testing.T) {
 	s := syntheticSet()
 	var m model.Smite
@@ -116,23 +118,34 @@ func TestPredictWithBound(t *testing.T) {
 	}
 	m.Intercept = 0.05
 
-	pred, err := s.PredictWith(m, "a", "b")
+	nd := float64(rulers.NumDimensions)
+	// Per dimension: |0.5|·(|sen|·Ec + Es·|con| + Es·Ec) with sen=0.4 of a,
+	// con=0.5·x of b, Es=0.01 (a's sen), Ec=0.04 (b's con).
+	for _, tc := range []struct {
+		x, wantDeg, wantBound float64
+	}{
+		{1, 0.05 + nd*0.5*0.4*0.5, nd * 0.5 * (0.4*0.04 + 0.01*0.5 + 0.01*0.04)},
+		{0.5, 0.025 + nd*0.5*0.4*0.25, nd * 0.5 * (0.4*0.04 + 0.01*0.25 + 0.01*0.04)},
+		{2, 0.05 + nd*0.5*0.4*0.5, nd * 0.5 * (0.4*0.04 + 0.01*0.5 + 0.01*0.04)},
+		{0, 0, nd * 0.5 * (0.4*0.04 + 0.01*0.04)},
+	} {
+		pred, err := s.PredictWith(m, "a", "b", tc.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(pred.Degradation-tc.wantDeg) > 1e-12 {
+			t.Errorf("x=%g: Degradation = %g, want %g", tc.x, pred.Degradation, tc.wantDeg)
+		}
+		if math.Abs(pred.Bound-tc.wantBound) > 1e-12 {
+			t.Errorf("x=%g: Bound = %g, want %g", tc.x, pred.Bound, tc.wantBound)
+		}
+	}
+	pred, err := s.PredictWith(m, "a", "b", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := float64(rulers.NumDimensions)
-	wantDeg := 0.05 + nd*0.5*0.4*0.5
-	// Per dimension: |0.5|·(|sen|·Ec + Es·|con| + Es·Ec) with sen=0.4 of a,
-	// con=0.5 of b, Es=0.01 (a's sen), Ec=0.04 (b's con).
-	wantBound := nd * 0.5 * (0.4*0.04 + 0.01*0.5 + 0.01*0.04)
-	if math.Abs(pred.Degradation-wantDeg) > 1e-12 {
-		t.Errorf("Degradation = %g, want %g", pred.Degradation, wantDeg)
-	}
-	if math.Abs(pred.Bound-wantBound) > 1e-12 {
-		t.Errorf("Bound = %g, want %g", pred.Bound, wantBound)
-	}
 
-	if _, err := s.PredictWith(m, "a", "nope"); err == nil {
+	if _, err := s.PredictWith(m, "a", "nope", 1); err == nil {
 		t.Error("PredictWith with unknown aggressor succeeded")
 	}
 	if _, err := s.Predict("a", "b"); err == nil {

@@ -404,7 +404,7 @@ func (m Model) PredictPartial(victim, aggressor Characterization, instances, thr
 // propagated error bound. Use when the Equation 3 model was trained
 // elsewhere (e.g. a qosd registry) rather than embedded in the set.
 func (m Model) PredictSurrogate(set *Surrogate, victim, aggressor string) (SurrogatePrediction, error) {
-	return set.PredictWith(m.inner, victim, aggressor)
+	return set.PredictWith(m.inner, victim, aggressor, 1)
 }
 
 // PredictScaled predicts a multithreaded victim's aggregate degradation
