@@ -1148,3 +1148,29 @@ func BenchmarkPredictorSeam(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "predictions/sec")
 }
+
+// BenchmarkBuildPredTable measures the prediction-table build every
+// cluster run starts from, on the fleet workload's world shape (4 latency
+// apps × 6 batch apps × 6 instances): one tiered Predict per cell plus its
+// QoS reductions, sequential so ns/op is the per-table cost without
+// fan-out overhead. cells/sec is the headline custom metric.
+func BenchmarkBuildPredTable(b *testing.B) {
+	const nLat, nBatch, maxInst = 4, 6, 6
+	set, tbl, err := cluster.SyntheticWorld(nLat, nBatch, maxInst, 23)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pred := cluster.NewTieredPredictor(
+		&cluster.SurrogatePredictor{Set: set, Capacity: maxInst},
+		&cluster.TablePredictor{Table: tbl},
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.BuildPredTable(context.Background(), tbl, nil, cluster.QoSAvg, pred, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*nLat*nBatch*maxInst)/b.Elapsed().Seconds(), "cells/sec")
+}

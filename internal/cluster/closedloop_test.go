@@ -51,9 +51,9 @@ func TestSimClosedLoopUnderDrift(t *testing.T) {
 	// instance; and they never appear before the drift lands (the static
 	// gate is consistent with the pre-drift world, so nothing confirms).
 	migrations := 0
-	for _, p := range res.Log {
+	for _, p := range res.Log() {
 		switch p.Kind {
-		case "":
+		case 0:
 			if p.From != 0 {
 				t.Fatalf("plain decision with From set: %+v", p)
 			}

@@ -62,12 +62,12 @@ func TestGoldenClusterSim(t *testing.T) {
 // goldenOf reduces a run to its pinned form: summary, log length, log
 // hash and the first five placements.
 func goldenOf(res SimResult) goldenRun {
-	head := min(5, len(res.Log))
+	log := res.Log()
 	return goldenRun{
 		Summary: res.Summary(),
-		LogLen:  len(res.Log),
-		LogHash: hashLog(res.Log),
-		Head:    res.Log[:head],
+		LogLen:  len(log),
+		LogHash: hashLog(log),
+		Head:    log[:min(5, len(log))],
 	}
 }
 

@@ -174,8 +174,8 @@ func TestHeterogeneousSim(t *testing.T) {
 		total += g.Count
 	}
 	placedByGen := make([]int, len(cfg.MachineGens))
-	for _, p := range res.Log {
-		if p.Machine < 0 || p.Kind != "" {
+	for _, p := range res.Log() {
+		if p.Machine < 0 || p.Kind != 0 {
 			continue
 		}
 		slot := int(p.Machine % int64(total))
@@ -194,7 +194,7 @@ func TestHeterogeneousSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hashLog(res.Log) != hashLog(res8.Log) || res.Placed != res8.Placed {
+	if hashLog(res.Log()) != hashLog(res8.Log()) || res.Placed != res8.Placed {
 		t.Error("heterogeneous run is not worker-count invariant")
 	}
 }
@@ -239,7 +239,7 @@ func TestAllocSpreadReducesViolations(t *testing.T) {
 	// bestfit must be the literal default: explicit name and empty name
 	// agree bit for bit.
 	def := run("")
-	if hashLog(def.Log) != hashLog(greedy.Log) {
+	if hashLog(def.Log()) != hashLog(greedy.Log()) {
 		t.Error("explicit bestfit diverges from the default allocation")
 	}
 }

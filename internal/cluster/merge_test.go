@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/xrand"
 )
@@ -12,9 +15,9 @@ import (
 // randomShardLogs draws k shard logs, each (At, Seq)-ordered as runShard
 // emits them. At comes from a handful of values so equal-At ties across
 // shards are the common case, and roughly one shard in four is empty.
-func randomShardLogs(r *xrand.Rand, k, maxLen int) []shardResult {
-	rs := make([]shardResult, k)
-	for s := range rs {
+func randomShardLogs(r *xrand.Rand, k, maxLen int) [][]Placement {
+	logs := make([][]Placement, k)
+	for s := range logs {
 		if r.Intn(4) == 0 {
 			continue
 		}
@@ -25,20 +28,20 @@ func randomShardLogs(r *xrand.Rand, k, maxLen int) []shardResult {
 		}
 		sort.Float64s(ats)
 		for i, at := range ats {
-			rs[s].log = append(rs[s].log, Placement{
+			logs[s] = append(logs[s], Placement{
 				At: at, Shard: int32(s), Seq: uint32(i), Machine: int64(r.Intn(100)),
 			})
 		}
 	}
-	return rs
+	return logs
 }
 
 // sortedReference is the merge's specification: every shard log
 // concatenated and sorted by (At, Shard, Seq).
-func sortedReference(rs []shardResult) []Placement {
+func sortedReference(logs [][]Placement) []Placement {
 	var out []Placement
-	for _, r := range rs {
-		out = append(out, r.log...)
+	for _, l := range logs {
+		out = append(out, l...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -60,13 +63,13 @@ func TestMergeLogsMatchesSort(t *testing.T) {
 	r := xrand.New(29)
 	for trial := 0; trial < 300; trial++ {
 		k := []int{1, 2, 3, 16, 17}[trial%5]
-		rs := randomShardLogs(r, k, 40)
+		logs := randomShardLogs(r, k, 40)
 		n := 0
-		for _, s := range rs {
-			n += len(s.log)
+		for _, l := range logs {
+			n += len(l)
 		}
-		got := mergeLogs(rs, n)
-		want := sortedReference(rs)
+		got := mergeLogs(logs, n)
+		want := sortedReference(logs)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%d shards): merged %d entries, want %d", trial, k, len(got), len(want))
 		}
@@ -76,7 +79,7 @@ func TestMergeLogsMatchesSort(t *testing.T) {
 			}
 		}
 	}
-	if got := mergeLogs(make([]shardResult, 16), 0); len(got) != 0 {
+	if got := mergeLogs(make([][]Placement, 16), 0); len(got) != 0 {
 		t.Fatalf("empty shards merged to %d entries", len(got))
 	}
 	if got := mergeLogs(nil, 0); len(got) != 0 {
@@ -128,7 +131,9 @@ func TestShardLogsOrdered(t *testing.T) {
 				t.Fatal(err)
 			}
 			migrations := 0
+			logs := make([][]Placement, len(rs))
 			for s, r := range rs {
+				logs[s] = r.log
 				for i, p := range r.log {
 					if p.Kind == PlacementMigrate {
 						migrations++
@@ -144,17 +149,94 @@ func TestShardLogsOrdered(t *testing.T) {
 			if (c.name == "closedloop" || c.name == "isolation") && migrations == 0 {
 				t.Fatal("no migrations logged; the mid-event append path went unexercised")
 			}
-			merged := mergeShards(cfg, rs).Log
-			if want := sortedReference(rs); !reflect.DeepEqual(merged, want) {
+			merged := mergeShards(cfg, rs).Log()
+			if want := sortedReference(logs); !reflect.DeepEqual(merged, want) {
 				t.Fatal("merged log differs from the sorted reference")
 			}
 		})
 	}
 }
 
-// BenchmarkMergeShards times the shard-log merge alone at fleet scale:
-// 16 shards of ~60k entries each, with the cross-shard At interleaving of
-// a real run.
+// TestLogFreshPerCall pins Log's contract: every call merges anew into its
+// own slice, so a caller mutating one result cannot change the next, and a
+// zero SimResult has an empty log.
+func TestLogFreshPerCall(t *testing.T) {
+	if got := (SimResult{}).Log(); len(got) != 0 {
+		t.Fatalf("zero SimResult logged %d entries", len(got))
+	}
+	cfg := goldenConfig(t)
+	events, err := GenerateEvents(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSim(context.Background(), cfg, events, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := res.Log()
+	if len(first) == 0 {
+		t.Fatal("golden run logged nothing")
+	}
+	want := append([]Placement(nil), first...)
+	for i := range first {
+		first[i] = Placement{Machine: -7}
+	}
+	if got := res.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatal("mutating one Log result changed the next")
+	}
+}
+
+// TestPlacementPointerFree pins the log entry's layout: 40 bytes and no
+// pointers, so the garbage collector never scans a shard log.
+func TestPlacementPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(Placement{}); size != 40 {
+		t.Errorf("Placement is %d bytes, want 40", size)
+	}
+	typ := reflect.TypeOf(Placement{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Float64, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint32:
+		default:
+			t.Errorf("field %s is a %s; a log entry must hold no pointers", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestPlacementKindJSON pins the wire form of Placement.Kind: the zero kind
+// is omitted, a migration round-trips as "migrate", and an unknown name is
+// an error that names it.
+func TestPlacementKindJSON(t *testing.T) {
+	plain, err := json.Marshal(Placement{At: 1, Machine: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(plain), `"k"`) {
+		t.Errorf("ordinary entry carries a kind: %s", plain)
+	}
+	mig := Placement{At: 1, Machine: 3, N: 2, Kind: PlacementMigrate, From: 9}
+	data, err := json.Marshal(mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"k":"migrate"`) {
+		t.Errorf("migration entry encodes as %s, want \"k\":\"migrate\"", data)
+	}
+	var back Placement
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != mig {
+		t.Errorf("round trip gave %+v, want %+v", back, mig)
+	}
+	err = json.Unmarshal([]byte(`{"t":1,"k":"teleport"}`), &back)
+	if err == nil || !strings.Contains(err.Error(), "teleport") {
+		t.Errorf("unknown kind decoded with error %v, want one naming \"teleport\"", err)
+	}
+}
+
+// BenchmarkMergeShards times the shard-log merge alone at fleet scale —
+// SimResult.Log over 16 shards of ~60k entries each, with the cross-shard
+// At interleaving of a real run.
 func BenchmarkMergeShards(b *testing.B) {
 	const shards, perShard = 16, 60_000
 	r := xrand.New(5)
@@ -168,12 +250,12 @@ func BenchmarkMergeShards(b *testing.B) {
 		}
 		n += perShard
 	}
-	cfg := SimConfig{Shards: shards, Table: &PredTable{}}
+	res := mergeShards(SimConfig{Shards: shards, Table: &PredTable{}}, rs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := mergeShards(cfg, rs); len(got.Log) != n {
-			b.Fatalf("merged %d entries, want %d", len(got.Log), n)
+		if got := res.Log(); len(got) != n {
+			b.Fatalf("merged %d entries, want %d", len(got), n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -25,7 +26,8 @@ import (
 // time-sorted exogenous stream, ties broken departures-first, then by
 // shard-local sequence numbers. Shards never communicate, so fanning them
 // across sched.Map workers is bit-identical at any worker count; the
-// per-shard placement logs are merged by (At, Shard, Seq) afterwards.
+// per-shard placement logs are merged by (At, Shard, Seq) on read, when
+// SimResult.Log is called.
 // internal/simtest pins replay determinism as a 20-seed law.
 
 // DefaultShards is the shard count used when SimConfig.Shards is zero:
@@ -240,26 +242,30 @@ func (c *SimConfig) validateFleet(spec policySpec) error {
 }
 
 // GenerateEvents produces the per-shard exogenous event streams for the
-// configured workload — the recordable half of a run.
+// configured workload — the recordable half of a run. Each shard's stream
+// depends only on the workload and the shard index, so the shards are
+// generated in parallel across GOMAXPROCS workers, each into its own slot.
 func GenerateEvents(cfg SimConfig) ([][]clworkload.Event, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	shards := make([][]clworkload.Event, cfg.Shards)
-	for s := range shards {
+	err := sched.Map(context.Background(), cfg.Shards, 0, func(_ context.Context, s int) error {
 		ev, err := clworkload.Generate(cfg.Workload, s, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
 		shards[s] = ev
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return shards, nil
 }
 
 // Placement is one scheduler decision in the merged log. Rejections are
 // logged too (Machine = −1), so the log is a complete decision record and
-// bit-for-bit comparable across replays.
+// bit-for-bit comparable across replays. An entry is 40 bytes and holds
+// no pointers, so the garbage collector never scans a log.
 type Placement struct {
 	At      float64 `json:"t"`
 	Shard   int32   `json:"s"`
@@ -268,17 +274,47 @@ type Placement struct {
 	Lat     int16   `json:"l"` // latency app of the machine; −1 = rejected
 	Batch   int16   `json:"b"`
 	N       int16   `json:"n"` // resident instances after placement; 0 = rejected
-	// Kind types non-admission decisions (PlacementMigrate); empty for
+	// Kind types non-admission decisions (PlacementMigrate); zero for
 	// ordinary placements and rejections, so pre-closed-loop logs decode
 	// and hash identically.
-	Kind string `json:"k,omitempty"`
+	Kind PlacementKind `json:"k,omitempty"`
 	// From is the machine a migrated instance left (Kind=PlacementMigrate).
 	From int64 `json:"f,omitempty"`
 }
 
+// PlacementKind types a log entry. The zero kind is an ordinary placement
+// or rejection; on the wire a kind is its name, and the zero kind is
+// omitted.
+type PlacementKind uint8
+
 // PlacementMigrate marks a closed-loop migration decision in the log:
 // Machine/Lat/N describe the receiving machine, From the drifted one.
-const PlacementMigrate = "migrate"
+const PlacementMigrate PlacementKind = 1
+
+var placementKindNames = [...]string{"", "migrate"}
+
+// MarshalJSON writes the kind's name ("migrate").
+func (k PlacementKind) MarshalJSON() ([]byte, error) {
+	if int(k) >= len(placementKindNames) {
+		return nil, fmt.Errorf("cluster: unknown placement kind %d", uint8(k))
+	}
+	return json.Marshal(placementKindNames[k])
+}
+
+// UnmarshalJSON reads a kind's name; an unknown name is an error.
+func (k *PlacementKind) UnmarshalJSON(data []byte) error {
+	var name string
+	if err := json.Unmarshal(data, &name); err != nil {
+		return err
+	}
+	for i, n := range placementKindNames {
+		if n == name {
+			*k = PlacementKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("cluster: unknown placement kind %q", name)
+}
 
 // SimResult aggregates one discrete-event run.
 type SimResult struct {
@@ -332,14 +368,26 @@ type SimResult struct {
 	// Summary reads its saturation thresholds.
 	SLOParams *SLOSimParams
 
-	// Log is the merged placement log, ordered by (At, Shard, Seq).
-	Log []Placement
+	// logs holds each shard's placement log in shard order; Log merges
+	// them.
+	logs [][]Placement
+}
+
+// Log returns the merged placement log, ordered by (At, Shard, Seq). The
+// shard logs are merged on every call, so a run whose log is never read
+// never pays for the merge, and each call returns a fresh slice.
+func (r SimResult) Log() []Placement {
+	n := 0
+	for _, l := range r.logs {
+		n += len(l)
+	}
+	return mergeLogs(r.logs, n)
 }
 
 // RunSim executes the discrete-event simulation over the given per-shard
 // exogenous streams (GenerateEvents for a fresh run, ReadTrace for a
 // replay), fanning shards across at most workers sched workers. The
-// result — including the merged placement log — is bit-identical for
+// result — including the placement log Log merges — is bit-identical for
 // every workers value.
 func RunSim(ctx context.Context, cfg SimConfig, shards [][]clworkload.Event, workers int) (SimResult, error) {
 	cfg = cfg.withDefaults()
@@ -404,9 +452,9 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 	if cfg.Isol != nil {
 		out.IsolationLevels = len(cfg.Isol.Levels)
 	}
-	logLen := 0
+	out.logs = make([][]Placement, len(rs))
 	var busy, ctx, base, tax float64
-	for _, r := range rs {
+	for i, r := range rs {
 		out.Events += r.events
 		out.Arrived += r.arrived
 		out.Placed += r.placed
@@ -427,7 +475,7 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 		if r.peak > out.PeakUtilization {
 			out.PeakUtilization = r.peak
 		}
-		logLen += len(r.log)
+		out.logs[i] = r.log
 		busy += r.busyInt
 		ctx += r.ctxInt
 		base += r.baseInt
@@ -441,20 +489,19 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 	if out.Placed > 0 {
 		out.ViolationFrac = float64(out.Violations) / float64(out.Placed)
 	}
-	out.Log = mergeLogs(rs, logLen)
 	return out
 }
 
-// mergeLogs merges the shard logs into the global (At, Shard, Seq) order.
-// Each shard log is already (At, Seq)-ordered and rs[i] holds shard i's,
-// so a k-way merge of the shard runs that breaks At ties by shard index
-// yields that order by construction. The merge is a tournament (loser)
-// tree over the shard cursors: each entry costs ⌈log₂ k⌉ comparisons, and
-// beyond the n-entry output it allocates O(k).
-func mergeLogs(rs []shardResult, n int) []Placement {
+// mergeLogs merges the n entries of the shard logs into the global (At,
+// Shard, Seq) order. Each shard log is already (At, Seq)-ordered and
+// logs[i] is shard i's, so a k-way merge of the shard runs that breaks At
+// ties by shard index yields that order by construction. The merge is a
+// tournament (loser) tree over the shard cursors: each entry costs
+// ⌈log₂ k⌉ comparisons, and beyond the n-entry output it allocates O(k).
+func mergeLogs(logs [][]Placement, n int) []Placement {
 	out := make([]Placement, n)
 	k := 1
-	for k < len(rs) {
+	for k < len(logs) {
 		k <<= 1
 	}
 	// head[i] is the At of leaf i's next entry, +Inf once the leaf is
@@ -464,8 +511,8 @@ func mergeLogs(rs []shardResult, n int) []Placement {
 	next := make([]int, k)
 	for i := range head {
 		head[i] = math.Inf(1)
-		if i < len(rs) && len(rs[i].log) > 0 {
-			head[i] = rs[i].log[0].At
+		if i < len(logs) && len(logs[i]) > 0 {
+			head[i] = logs[i][0].At
 		}
 	}
 	before := func(a, b int) bool { return head[a] < head[b] || (head[a] == head[b] && a < b) }
@@ -486,7 +533,7 @@ func mergeLogs(rs []shardResult, n int) []Placement {
 	}
 	w := win[1]
 	for o := range out {
-		log := rs[w].log
+		log := logs[w]
 		out[o] = log[next[w]]
 		if next[w]++; next[w] < len(log) {
 			head[w] = log[next[w]].At
@@ -702,6 +749,17 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 	spec, _ := policyOf(cfg.Policy)
 	s.adm = spec.newShard(s)
 	s.buckets = sharedIheaps(s.nGens * s.nLevels * nLat * (nBatch + 1) * (s.maxInst + 1))
+	// Every arrival logs exactly one entry and takes at most one departure
+	// handle, so sizing both from the arrivals keeps the event loop from
+	// regrowing them (only migrations append beyond it).
+	arrivals := 0
+	for i := range exo {
+		if exo[i].Kind == clworkload.KindJobArrive {
+			arrivals++
+		}
+	}
+	s.res.log = make([]Placement, 0, arrivals)
+	s.owner = make([]int32, 0, arrivals)
 
 	// Initial fleet: machines are dealt to shards round-robin, and their
 	// latency apps round-robin over the population, so shard membership is

@@ -112,13 +112,37 @@ func TestSimSmoke(t *testing.T) {
 	if res.PeakUtilization < res.MeanUtilization || res.PeakUtilization > 1 {
 		t.Errorf("peak utilisation %g inconsistent with mean %g", res.PeakUtilization, res.MeanUtilization)
 	}
-	if len(res.Log) != res.Arrived {
-		t.Errorf("placement log has %d entries for %d arrivals", len(res.Log), res.Arrived)
+	log := res.Log()
+	if len(log) != res.Arrived {
+		t.Errorf("placement log has %d entries for %d arrivals", len(log), res.Arrived)
 	}
-	for i := 1; i < len(res.Log); i++ {
-		a, b := res.Log[i-1], res.Log[i]
+	for i := 1; i < len(log); i++ {
+		a, b := log[i-1], log[i]
 		if a.At > b.At || (a.At == b.At && a.Shard > b.Shard) {
 			t.Fatalf("log out of (At, Shard, Seq) order at %d", i)
+		}
+	}
+}
+
+// TestGenerateEventsMatchesPerShard pins the parallel generator to its
+// serial specification: every shard's stream equals a plain per-shard
+// clworkload.Generate call, at one, a few and many shards.
+func TestGenerateEventsMatchesPerShard(t *testing.T) {
+	cfg := goldenConfig(t)
+	for _, shards := range []int{1, 3, 16} {
+		cfg.Shards = shards
+		got, err := GenerateEvents(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]clworkload.Event, shards)
+		for s := range want {
+			if want[s], err = clworkload.Generate(cfg.Workload, s, shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d shards: parallel streams differ from per-shard Generate", shards)
 		}
 	}
 }
@@ -294,7 +318,7 @@ func TestSimWarehouseScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replay workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(res.Log, replay.Log) {
+		if !reflect.DeepEqual(res.Log(), replay.Log()) {
 			t.Fatalf("replay workers=%d: placement log diverged", workers)
 		}
 		if !reflect.DeepEqual(res, replay) {
@@ -351,7 +375,7 @@ func TestSimSLOPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range seq.Log {
+	for _, p := range seq.Log() {
 		if p.Machine < 0 {
 			continue
 		}
@@ -462,7 +486,7 @@ func TestSimDegenerateWorlds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Log) != 0 || res.Events != 0 || res.Placed != 0 || res.Rejected != 0 {
+				if len(res.Log()) != 0 || res.Events != 0 || res.Placed != 0 || res.Rejected != 0 {
 					t.Fatalf("degenerate world produced a non-empty run: %+v", res)
 				}
 				if res.MachinesStart != tc.machines || res.MachinesEnd != tc.machines {

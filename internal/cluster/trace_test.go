@@ -134,9 +134,9 @@ func TestTraceDegenerateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Log) != 0 || res.Events != 0 {
+			if len(res.Log()) != 0 || res.Events != 0 {
 				t.Fatalf("degenerate trace replayed to %d log entries, %d events; want none",
-					len(res.Log), res.Events)
+					len(res.Log()), res.Events)
 			}
 		})
 	}

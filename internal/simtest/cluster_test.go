@@ -79,7 +79,7 @@ func TestClusterReplayDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: replay workers=%d: %v", seed, workers, err)
 			}
-			if !reflect.DeepEqual(orig.Log, replay.Log) {
+			if !reflect.DeepEqual(orig.Log(), replay.Log()) {
 				t.Errorf("seed %d (policy %v, %d machines): replay at workers=%d diverged from recorded run",
 					seed, cfg.Policy, cfg.Workload.Machines, workers)
 			}
