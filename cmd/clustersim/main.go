@@ -186,28 +186,13 @@ func contains(xs []float64, v float64) bool {
 	return false
 }
 
-// daemonPredictor satisfies cluster.Predictor from a map of degradations
-// prefetched through a qosd daemon's /v1/batch endpoint.
-type daemonPredictor struct {
-	degs map[string]float64
-}
-
-func dpKey(lat, batch string, n int) string { return fmt.Sprintf("%s|%s|%d", lat, batch, n) }
-
-func (d *daemonPredictor) Predict(lat, batch string, n int) (cluster.Prediction, error) {
-	deg, ok := d.degs[dpKey(lat, batch, n)]
-	if !ok {
-		return cluster.Prediction{}, fmt.Errorf("clustersim: daemon served no prediction for %s|%s|%d", lat, batch, n)
-	}
-	return cluster.Prediction{Deg: deg, Tier: "daemon"}, nil
-}
-
 // scaleOutViaDaemon reruns the scale-out study with the SMiTe policy's
 // predictions served by a live smited daemon instead of in-process calls:
 // an embedded qosd server comes up on an ephemeral port, the study's
 // profiles travel to it in the persisted-profile wire format, every
 // (latency, batch, instances) cell is scored through POST /v1/batch, and
-// the cluster study consumes those served numbers. Because the daemon
+// the cluster study consumes those served numbers as the predicted side
+// of a degradation table. Because the daemon
 // evaluates the same model over JSON-round-tripped (hence bit-exact)
 // float64 profiles, the decisions are bit-identical to the in-process
 // path.
@@ -258,7 +243,8 @@ func scaleOutViaDaemon(ctx context.Context, lab *experiments.Lab, qos cluster.Qo
 
 	// Prefetch the full decision surface, one batch request per
 	// (latency app, instance count).
-	dp := &daemonPredictor{degs: make(map[string]float64)}
+	served := cluster.NewTable(sa.LatApps, sa.BatchApps, sa.MaxInstances)
+	fetched := 0
 	for _, lat := range sa.LatApps {
 		for n := 1; n <= sa.MaxInstances; n++ {
 			cands := make([]qosd.BatchCandidate, len(sa.BatchApps))
@@ -273,15 +259,16 @@ func scaleOutViaDaemon(ctx context.Context, lab *experiments.Lab, qos cluster.Qo
 			if err != nil {
 				return experiments.ScaleOutResult{}, err
 			}
+			fetched += len(resp.Results)
 			for _, r := range resp.Results {
-				dp.degs[dpKey(lat, r.Aggressor, n)] = r.Degradation
+				served.Set(lat, r.Aggressor, n, cluster.Entry{Predicted: r.Degradation})
 			}
 		}
 	}
 	fmt.Fprintf(w, "SMiTe predictions served by embedded smited at %s (%d profiles uploaded, %d cells fetched)\n",
-		ln.Addr(), len(chars), len(dp.degs))
+		ln.Addr(), len(chars), fetched)
 
-	res, err := lab.ScaleOutStudyContext(ctx, qos, dp)
+	res, err := lab.ScaleOutStudyContext(ctx, qos, &cluster.TablePredictor{Table: served})
 	if shutdownErr := hs.Shutdown(context.Background()); err == nil && shutdownErr != nil {
 		err = shutdownErr
 	}

@@ -14,9 +14,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/service"
 	"repro/internal/xrand"
 )
 
@@ -53,12 +51,8 @@ func (t *Table) Set(lat, batch string, n int, e Entry) {
 	t.entries[tkey(lat, batch, n)] = e
 }
 
-// Get fetches the entry for (lat, batch, n); n == 0 returns zero
-// degradations.
+// Get fetches the entry for (lat, batch, n).
 func (t *Table) Get(lat, batch string, n int) (Entry, error) {
-	if n == 0 {
-		return Entry{}, nil
-	}
 	e, ok := t.entries[tkey(lat, batch, n)]
 	if !ok {
 		return Entry{}, fmt.Errorf("cluster: no table entry for %s|%s|%d", lat, batch, n)
@@ -81,9 +75,9 @@ func (t *Table) Complete() error {
 }
 
 // The Predictor seam (predictor.go) supplies predicted degradations from
-// outside the table — for example the qosd serving daemon, letting a
-// study's SMiTe policy consult a live service instead of pre-baked
-// predictions.
+// outside the table — for example the qosd serving daemon, whose answers
+// BuildPredTable bakes into the PredTable a study places on instead of
+// the table's own predictions.
 
 // QoSKind selects how QoS is defined.
 type QoSKind int
@@ -157,11 +151,9 @@ func (k PolicyKind) String() string {
 
 // Study describes one scale-out experiment.
 type Study struct {
-	// Table holds the co-location degradations.
-	Table *Table
-	// Services supplies queueing parameters for tail-latency QoS, keyed by
-	// latency-application name (only needed for QoSTail).
-	Services map[string]service.Service
+	// Table holds the predicted and measured QoS of every co-location
+	// cell (BuildPredTable), under the QoS definition the study runs in.
+	Table *PredTable
 	// ServersPerApp is the number of servers dedicated to each latency
 	// application (1,000 in the paper, 4,000 servers total).
 	ServersPerApp int
@@ -172,11 +164,6 @@ type Study struct {
 	ContextsPerServer int
 	// Seed drives batch-application arrival randomness.
 	Seed uint64
-	// Predictor, when non-nil, replaces Table.Predicted as the source of
-	// predicted degradations for admission. The Oracle policy still reads
-	// measured values, and scoring always uses measured values — only the
-	// prediction side is swappable.
-	Predictor Predictor
 }
 
 // Result summarises one policy × QoS-target run.
@@ -212,7 +199,7 @@ func (s *Study) validate() error {
 	if s.Table == nil {
 		return fmt.Errorf("cluster: study needs a table")
 	}
-	if err := s.Table.Complete(); err != nil {
+	if err := s.Table.Validate(); err != nil {
 		return err
 	}
 	if s.ServersPerApp <= 0 || s.ThreadsPerServer <= 0 || s.ContextsPerServer <= 0 {
@@ -227,137 +214,85 @@ func (s *Study) validate() error {
 	return nil
 }
 
-// qosOf maps a degradation to QoS under the study's definition.
-func (s *Study) qosOf(kind QoSKind, lat string, deg float64) (float64, error) {
-	return qosValue(kind, s.Services, lat, deg)
-}
-
-// server is one placement decision.
-type server struct {
-	lat   string
-	batch string
-	n     int
-}
-
-// Run executes the study for one policy at one QoS target.
-func (s *Study) Run(policy PolicyKind, qos QoSKind, target float64) (Result, error) {
+// Run executes the study for one policy at one QoS target, under the
+// table's QoS definition. Each server draws a batch application; SMiTe
+// admits the largest instance count whose predicted QoS meets the target,
+// Oracle the largest whose measured QoS does, and every server is scored
+// on the measured QoS at its admitted count.
+func (s *Study) Run(policy PolicyKind, target float64) (Result, error) {
 	if err := s.validate(); err != nil {
 		return Result{}, err
 	}
 	if target <= 0 || target > 1 {
 		return Result{}, fmt.Errorf("cluster: QoS target %.3f outside (0,1]", target)
 	}
-
-	// Deterministic batch-application arrival per server.
-	rng := xrand.New(s.Seed ^ 0xC1A5)
-	servers := make([]server, 0, len(s.Table.LatencyApps)*s.ServersPerApp)
-	for _, lat := range s.Table.LatencyApps {
-		for i := 0; i < s.ServersPerApp; i++ {
-			b := s.Table.BatchApps[rng.Intn(len(s.Table.BatchApps))]
-			servers = append(servers, server{lat: lat, batch: b})
-		}
-	}
-
-	// Admission: the predictive policies choose the largest instance count
-	// whose (predicted or measured) QoS stays within target.
-	admit := func(sv *server, useActual bool) error {
-		best := 0
-		for n := 1; n <= s.Table.MaxInstances; n++ {
-			e, err := s.Table.Get(sv.lat, sv.batch, n)
-			if err != nil {
-				return err
-			}
-			d := e.Predicted
-			if useActual {
-				d = e.Actual
-			} else if s.Predictor != nil {
-				pred, err := s.Predictor.Predict(sv.lat, sv.batch, n)
-				if err != nil {
-					return err
-				}
-				d = pred.Deg
-			}
-			q, err := s.qosOf(qos, sv.lat, d)
-			if err != nil {
-				return err
-			}
-			if q >= target {
-				best = n
-			}
-		}
-		sv.n = best
-		return nil
-	}
-
+	pt := s.Table
+	var admitOn []float64
 	switch policy {
-	case PolicySMiTe, PolicyOracle:
-		for i := range servers {
-			if err := admit(&servers[i], policy == PolicyOracle); err != nil {
-				return Result{}, err
-			}
-		}
-	case PolicyRandom:
-		// Match SMiTe's utilisation: compute SMiTe's choices, then deal the
-		// same multiset of instance counts to random servers.
-		counts := make([]int, len(servers))
-		for i := range servers {
-			if err := admit(&servers[i], false); err != nil {
-				return Result{}, err
-			}
-			counts[i] = servers[i].n
-		}
-		perm := rng.Perm(len(counts))
-		for i := range servers {
-			servers[i].n = counts[perm[i]]
-		}
+	case PolicySMiTe, PolicyRandom:
+		admitOn = pt.PredQoS
+	case PolicyOracle:
+		admitOn = pt.ActualQoS
 	default:
 		return Result{}, fmt.Errorf("cluster: unknown policy %d", policy)
 	}
 
-	return s.score(policy, qos, target, servers)
-}
-
-func (s *Study) score(policy PolicyKind, qos QoSKind, target float64, servers []server) (Result, error) {
-	res := Result{
-		Policy: policy, QoS: qos, Target: target,
-		PerApp: make(map[string]float64),
-	}
-	perAppInstances := make(map[string]int)
-	total := 0
-	violations := 0
-	var violSum, violMax float64
-	for _, sv := range servers {
-		total += sv.n
-		perAppInstances[sv.lat] += sv.n
-		if sv.n == 0 {
-			continue
-		}
-		res.ColocatedServers++
-		e, err := s.Table.Get(sv.lat, sv.batch, sv.n)
-		if err != nil {
-			return Result{}, err
-		}
-		q, err := s.qosOf(qos, sv.lat, e.Actual)
-		if err != nil {
-			return Result{}, err
-		}
-		if q < target {
-			violations++
-			m := (target - q) / target
-			violSum += m
-			if m > violMax {
-				violMax = m
+	// Deterministic batch-application arrival per server; base[i] is the
+	// server's Cell at n = 1. Admission picks the largest instance count
+	// whose QoS stays within target.
+	rng := xrand.New(s.Seed ^ 0xC1A5)
+	nLat := len(pt.LatencyApps)
+	base := make([]int, nLat*s.ServersPerApp)
+	counts := make([]int, len(base))
+	for i := range base {
+		base[i] = pt.Cell(i/s.ServersPerApp, rng.Intn(len(pt.BatchApps)), 1)
+		for n := 1; n <= pt.MaxInstances; n++ {
+			if admitOn[base[i]+n-1] >= target {
+				counts[i] = n
 			}
 		}
 	}
-	nServers := len(servers)
+	if policy == PolicyRandom {
+		// Match SMiTe's utilisation: deal the same multiset of instance
+		// counts to random servers.
+		perm := rng.Perm(len(counts))
+		dealt := make([]int, len(counts))
+		for i := range dealt {
+			dealt[i] = counts[perm[i]]
+		}
+		counts = dealt
+	}
+
+	// Scoring: every co-located server against its measured QoS.
+	res := Result{
+		Policy: policy, QoS: pt.QoS, Target: target,
+		PerApp: make(map[string]float64, nLat),
+	}
+	total, violations := 0, 0
+	var violSum, violMax float64
+	perApp := make([]int, nLat)
+	for i, n := range counts {
+		total += n
+		perApp[i/s.ServersPerApp] += n
+		if n == 0 {
+			continue
+		}
+		res.ColocatedServers++
+		if q := pt.ActualQoS[base[i]+n-1]; q < target {
+			violations++
+			m := (target - q) / target
+			violSum += m
+			violMax = max(violMax, m)
+		}
+	}
+	nServers := len(counts)
 	busyBase := float64(s.ThreadsPerServer * nServers)
 	res.BaselineUtilization = busyBase / float64(s.ContextsPerServer*nServers)
 	res.Utilization = (busyBase + float64(total)) / float64(s.ContextsPerServer*nServers)
 	res.UtilizationGain = float64(total) / busyBase
 	res.MeanInstances = float64(total) / float64(nServers)
-	for app, n := range perAppInstances {
-		res.PerApp[app] = float64(n) / float64(s.ThreadsPerServer*s.ServersPerApp)
+	for l, n := range perApp {
+		res.PerApp[pt.LatencyApps[l]] = float64(n) / float64(s.ThreadsPerServer*s.ServersPerApp)
 	}
 	if res.ColocatedServers > 0 {
 		res.ViolationFrac = float64(violations) / float64(res.ColocatedServers)
@@ -367,22 +302,4 @@ func (s *Study) score(policy PolicyKind, qos QoSKind, target float64, servers []
 	}
 	res.ViolationMax = violMax
 	return res, nil
-}
-
-// BatchAbsorbed returns how many dedicated batch servers the co-located
-// instances replace, assuming a dedicated batch server runs one instance
-// per core (ThreadsPerServer instances).
-func (s *Study) BatchAbsorbed(r Result) float64 {
-	totalInstances := r.MeanInstances * float64(len(s.Table.LatencyApps)*s.ServersPerApp)
-	return totalInstances / float64(s.ThreadsPerServer)
-}
-
-// SortedApps returns the per-app keys of a result in stable order.
-func (r Result) SortedApps() []string {
-	out := make([]string, 0, len(r.PerApp))
-	for a := range r.PerApp {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }

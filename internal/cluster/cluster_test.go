@@ -1,25 +1,37 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/service"
 )
 
-// syntheticStudy builds a study with a hand-made degradation table:
-// latency app "svc" with batch apps "quiet" (1% per instance) and "noisy"
-// (12% per instance), predictions biased slightly low for "noisy" so that
-// violations are observable.
-func syntheticStudy(t *testing.T, predBias float64) *Study {
-	t.Helper()
+// syntheticTable is a hand-made degradation table: latency app "svc" with
+// batch apps "quiet" (1% per instance) and "noisy" (12% per instance),
+// predictions biased slightly low for "noisy" so that violations are
+// observable.
+func syntheticTable(predBias float64) *Table {
 	tbl := NewTable([]string{"svc"}, []string{"quiet", "noisy"}, 6)
 	for n := 1; n <= 6; n++ {
 		tbl.Set("svc", "quiet", n, Entry{Actual: 0.01 * float64(n), Predicted: 0.01 * float64(n)})
 		tbl.Set("svc", "noisy", n, Entry{Actual: 0.12 * float64(n), Predicted: (0.12 - predBias) * float64(n)})
 	}
+	return tbl
+}
+
+var syntheticServices = map[string]service.Service{"svc": {Name: "svc", Mu: 1000, Lambda: 500, QoSPercentile: 0.9, ReportsPercentile: true}}
+
+// syntheticStudy builds a study on syntheticTable under one QoS
+// definition.
+func syntheticStudy(t *testing.T, predBias float64, qos QoSKind) *Study {
+	t.Helper()
+	pt, err := BuildPredTable(context.Background(), syntheticTable(predBias), syntheticServices, qos, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &Study{
-		Table:             tbl,
-		Services:          map[string]service.Service{"svc": {Name: "svc", Mu: 1000, Lambda: 500, QoSPercentile: 0.9, ReportsPercentile: true}},
+		Table:             pt,
 		ServersPerApp:     500,
 		ThreadsPerServer:  6,
 		ContextsPerServer: 12,
@@ -28,8 +40,8 @@ func syntheticStudy(t *testing.T, predBias float64) *Study {
 }
 
 func TestSMiTeAdmitsUpToTarget(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0, QoSAvg)
+	r, err := s.Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +65,8 @@ func TestSMiTeAdmitsUpToTarget(t *testing.T) {
 }
 
 func TestOracleNeverViolates(t *testing.T) {
-	s := syntheticStudy(t, 0.05) // predictions underestimate noisy by 5%/instance
-	r, err := s.Run(PolicyOracle, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0.05, QoSAvg) // predictions underestimate noisy by 5%/instance
+	r, err := s.Run(PolicyOracle, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +76,8 @@ func TestOracleNeverViolates(t *testing.T) {
 }
 
 func TestBiasedPredictionsCauseViolations(t *testing.T) {
-	s := syntheticStudy(t, 0.05)
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0.05, QoSAvg)
+	r, err := s.Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +92,12 @@ func TestBiasedPredictionsCauseViolations(t *testing.T) {
 }
 
 func TestRandomMatchesSMiTeUtilization(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	sm, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0, QoSAvg)
+	sm, err := s.Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := s.Run(PolicyRandom, QoSAvg, 0.90)
+	rd, err := s.Run(PolicyRandom, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +112,11 @@ func TestRandomMatchesSMiTeUtilization(t *testing.T) {
 }
 
 func TestTailQoSAdmitsLess(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	avg, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	avg, err := syntheticStudy(t, 0, QoSAvg).Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := s.Run(PolicySMiTe, QoSTail, 0.90)
+	tail, err := syntheticStudy(t, 0, QoSTail).Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +127,10 @@ func TestTailQoSAdmitsLess(t *testing.T) {
 }
 
 func TestUtilizationGainMonotoneInTarget(t *testing.T) {
-	s := syntheticStudy(t, 0)
+	s := syntheticStudy(t, 0, QoSAvg)
 	prev := -1.0
 	for _, target := range []float64{0.95, 0.90, 0.85} {
-		r, err := s.Run(PolicySMiTe, QoSAvg, target)
+		r, err := s.Run(PolicySMiTe, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,26 +142,57 @@ func TestUtilizationGainMonotoneInTarget(t *testing.T) {
 }
 
 func TestStudyValidation(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	if _, err := s.Run(PolicySMiTe, QoSAvg, 0); err == nil {
+	s := syntheticStudy(t, 0, QoSAvg)
+	if _, err := s.Run(PolicySMiTe, 0); err == nil {
 		t.Error("target 0 accepted")
 	}
-	if _, err := s.Run(PolicySMiTe, QoSAvg, 1.5); err == nil {
+	if _, err := s.Run(PolicySMiTe, 1.5); err == nil {
 		t.Error("target > 1 accepted")
 	}
-	s.Table = NewTable([]string{"svc"}, []string{"x"}, 2) // incomplete
-	if _, err := s.Run(PolicySMiTe, QoSAvg, 0.9); err == nil {
+	s.Table = &PredTable{LatencyApps: []string{"svc"}, BatchApps: []string{"x"}, MaxInstances: 2} // no cells
+	if _, err := s.Run(PolicySMiTe, 0.9); err == nil {
+		t.Error("table without cells accepted")
+	}
+	if _, err := BuildPredTable(context.Background(), NewTable([]string{"svc"}, []string{"x"}, 2), nil, QoSAvg, nil, 1); err == nil {
 		t.Error("incomplete table accepted")
 	}
-	s2 := syntheticStudy(t, 0)
+	s2 := syntheticStudy(t, 0, QoSAvg)
 	s2.ThreadsPerServer = 20
-	if _, err := s2.Run(PolicySMiTe, QoSAvg, 0.9); err == nil {
+	if _, err := s2.Run(PolicySMiTe, 0.9); err == nil {
 		t.Error("threads > contexts accepted")
 	}
-	s3 := syntheticStudy(t, 0)
-	s3.Services = nil
-	if _, err := s3.Run(PolicySMiTe, QoSTail, 0.9); err == nil {
+	if _, err := BuildPredTable(context.Background(), syntheticTable(0), nil, QoSTail, nil, 1); err == nil {
 		t.Error("tail QoS without services accepted")
+	}
+}
+
+// TestStudyRejectsDegenerateTables: a table with no batch apps, no
+// latency apps or no instance counts has nothing to place, and Run must
+// say so instead of panicking in the batch draw, dividing zero servers
+// into NaN utilisation, or scoring an empty admission range.
+func TestStudyRejectsDegenerateTables(t *testing.T) {
+	cases := []struct {
+		name         string
+		lats, batchs []string
+		maxInstances int
+	}{
+		{"no batch apps", []string{"svc"}, nil, 6},
+		{"no latency apps", nil, []string{"quiet"}, 6},
+		{"no instances", []string{"svc"}, []string{"quiet"}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pt, err := BuildPredTable(context.Background(), NewTable(c.lats, c.batchs, c.maxInstances), nil, QoSAvg, nil, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &Study{Table: pt, ServersPerApp: 10, ThreadsPerServer: 6, ContextsPerServer: 12, Seed: 1}
+			for _, pol := range []PolicyKind{PolicySMiTe, PolicyOracle, PolicyRandom} {
+				if r, err := s.Run(pol, 0.9); err == nil {
+					t.Errorf("%v accepted a degenerate table: %+v", pol, r)
+				}
+			}
+		})
 	}
 }
 
@@ -159,35 +201,19 @@ func TestTableGet(t *testing.T) {
 	if _, err := tbl.Get("a", "b", 1); err == nil {
 		t.Error("missing entry accepted")
 	}
-	if e, err := tbl.Get("a", "b", 0); err != nil || e != (Entry{}) {
-		t.Error("zero instances should be free")
-	}
 	tbl.Set("a", "b", 1, Entry{Actual: 0.1, Predicted: 0.2})
 	if e, err := tbl.Get("a", "b", 1); err != nil || e.Actual != 0.1 {
 		t.Error("set/get round trip failed")
 	}
 }
 
-func TestBatchAbsorbed(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	absorbed := s.BatchAbsorbed(r)
-	wantTotal := r.MeanInstances * 500 / 6
-	if absorbed != wantTotal {
-		t.Errorf("absorbed %.1f, want %.1f", absorbed, wantTotal)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
-	s := syntheticStudy(t, 0.02)
-	a, err := s.Run(PolicyRandom, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0.02, QoSAvg)
+	a, err := s.Run(PolicyRandom, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := s.Run(PolicyRandom, QoSAvg, 0.90)
+	b, _ := s.Run(PolicyRandom, 0.90)
 	if a.ViolationFrac != b.ViolationFrac || a.MeanInstances != b.MeanInstances {
 		t.Error("study not deterministic")
 	}

@@ -1,18 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
-
-// TestResultSortedApps pins the stable ordering helper.
-func TestResultSortedApps(t *testing.T) {
-	r := Result{PerApp: map[string]float64{"b": 1, "a": 2}}
-	apps := r.SortedApps()
-	if len(apps) != 2 || apps[0] != "a" || apps[1] != "b" {
-		t.Errorf("SortedApps = %v", apps)
-	}
-}
 
 // TestViolationAccounting checks the violation magnitude formula
 // ((target − actual)/target) against a hand-computed case.
@@ -21,14 +13,18 @@ func TestViolationAccounting(t *testing.T) {
 	// Predicted degradation 2% admits 1 instance at a 95% target, but the
 	// actual degradation is 10% → QoS 0.90 < 0.95.
 	tbl.Set("svc", "b", 1, Entry{Actual: 0.10, Predicted: 0.02})
+	pt, err := BuildPredTable(context.Background(), tbl, nil, QoSAvg, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := &Study{
-		Table:             tbl,
+		Table:             pt,
 		ServersPerApp:     10,
 		ThreadsPerServer:  6,
 		ContextsPerServer: 12,
 		Seed:              1,
 	}
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.95)
+	r, err := s.Run(PolicySMiTe, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,11 @@ func qosValue(kind QoSKind, services map[string]service.Service, lat string, deg
 	return 0, fmt.Errorf("cluster: unknown QoS kind %d", kind)
 }
 
-// PredTable is the dense QoS surface the discrete-event simulator places
-// against: for every (latency app, batch app, instance count) cell it
-// holds the QoS implied by the predicted and by the measured degradation,
-// precomputed so the event loop is pure array lookups. It is built once
+// PredTable is the dense QoS surface both the static Study and the
+// discrete-event simulator place against: for every (latency app, batch
+// app, instance count) cell it holds the QoS implied by the predicted and
+// by the measured degradation, precomputed so admission and scoring are
+// pure array lookups. It is built once
 // through the Predictor seam (BuildPredTable) and embedded verbatim in
 // recorded traces, which is what makes a replayed run self-contained.
 type PredTable struct {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/profile"
 	"repro/internal/sched"
@@ -397,21 +396,6 @@ func (r Fig12Result) String() string {
 	}
 	b.WriteString("paper: SMT SMiTe 1.79% vs PMU 17.45%; CMP SMiTe 1.36% vs PMU 27.01%\n")
 	return b.String()
-}
-
-// ClusterTableContext exports the SMT cloud study as the degradation table
-// the scale-out experiments consume.
-func (l *Lab) ClusterTableContext(ctx context.Context) (*cluster.Table, map[string]service.Service, error) {
-	cs, err := l.cloudStudyData(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	entries := cs.placementTables[profile.SMT]
-	tbl := cluster.NewTable(cs.latApps, cs.batchApps, cs.maxInstances[profile.SMT])
-	for _, e := range entries {
-		tbl.Set(e.lat, e.batch, e.n, cluster.Entry{Actual: e.actual, Predicted: e.predicted})
-	}
-	return tbl, cs.services, nil
 }
 
 // ServingArtifacts is everything a qosd daemon needs to reproduce the

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/service"
+	"repro/internal/profile"
 	"repro/internal/tco"
 )
 
@@ -36,56 +36,47 @@ func (l *Lab) Fig16And17TailQoSContext(ctx context.Context) (ScaleOutResult, err
 	return l.ScaleOutStudyContext(ctx, cluster.QoSTail, nil)
 }
 
-// ScaleOutStudyContext runs a scale-out study under either QoS definition.
-// A non-nil pred replaces the table's baked-in predicted degradations as
-// the SMiTe policy's prediction source (cmd/clustersim --server passes a
-// predictor backed by a live qosd daemon); nil keeps the in-process
-// predictions. Measured degradations always come from the table. The
-// underlying cloud-study measurements abort mid-simulation when ctx is
-// cancelled, and the queueing sweeps check ctx between cells.
+// ScaleOutStudyContext runs a scale-out study under either QoS definition:
+// the SMT cloud study's degradations become one PredTable (BuildPredTable)
+// that every target × policy cell places on. A non-nil pred replaces the
+// table's baked-in predicted degradations as the SMiTe policy's
+// prediction source (cmd/clustersim --server passes a predictor backed by
+// a live qosd daemon); nil keeps the in-process predictions. Measured
+// degradations always come from the table. The underlying cloud-study
+// measurements abort mid-simulation when ctx is cancelled.
 func (l *Lab) ScaleOutStudyContext(ctx context.Context, qos cluster.QoSKind, pred cluster.Predictor) (ScaleOutResult, error) {
-	tbl, services, err := l.ClusterTableContext(ctx)
+	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
 		return ScaleOutResult{}, err
 	}
-	if qos == cluster.QoSTail {
-		// Restrict to percentile-reporting services (Web-Search,
-		// Data-Caching).
-		var keep []string
-		for _, lat := range tbl.LatencyApps {
-			if svc, ok := services[lat]; ok && svc.ReportsPercentile {
-				keep = append(keep, lat)
-			}
+	// Tail QoS keeps only the percentile-reporting services (Web-Search,
+	// Data-Caching).
+	keep := func(lat string) bool { return qos != cluster.QoSTail || cs.services[lat].ReportsPercentile }
+	var lats []string
+	for _, lat := range cs.latApps {
+		if keep(lat) {
+			lats = append(lats, lat)
 		}
-		if len(keep) == 0 {
-			return ScaleOutResult{}, fmt.Errorf("experiments: no percentile-reporting services in the study")
-		}
-		sub := cluster.NewTable(keep, tbl.BatchApps, tbl.MaxInstances)
-		for _, lat := range keep {
-			for _, b := range tbl.BatchApps {
-				for n := 1; n <= tbl.MaxInstances; n++ {
-					e, err := tbl.Get(lat, b, n)
-					if err != nil {
-						return ScaleOutResult{}, err
-					}
-					sub.Set(lat, b, n, e)
-				}
-			}
-		}
-		tbl = sub
 	}
-	return l.runScaleOut(ctx, tbl, services, qos, pred)
-}
-
-func (l *Lab) runScaleOut(ctx context.Context, tbl *cluster.Table, services map[string]service.Service, qos cluster.QoSKind, pred cluster.Predictor) (ScaleOutResult, error) {
+	if len(lats) == 0 {
+		return ScaleOutResult{}, fmt.Errorf("experiments: no percentile-reporting services in the study")
+	}
+	tbl := cluster.NewTable(lats, cs.batchApps, cs.maxInstances[profile.SMT])
+	for _, e := range cs.placementTables[profile.SMT] {
+		if keep(e.lat) {
+			tbl.Set(e.lat, e.batch, e.n, cluster.Entry{Actual: e.actual, Predicted: e.predicted})
+		}
+	}
+	pt, err := cluster.BuildPredTable(ctx, tbl, cs.services, qos, pred, l.workers())
+	if err != nil {
+		return ScaleOutResult{}, err
+	}
 	study := &cluster.Study{
-		Table:             tbl,
-		Services:          services,
+		Table:             pt,
 		ServersPerApp:     l.Scale.ServersPerApp,
 		ThreadsPerServer:  l.cloudThreads(),
 		ContextsPerServer: l.SNB.Contexts(),
 		Seed:              7,
-		Predictor:         pred,
 	}
 	out := ScaleOutResult{
 		QoS:     qos,
@@ -95,10 +86,7 @@ func (l *Lab) runScaleOut(ctx context.Context, tbl *cluster.Table, services map[
 	for _, target := range out.Targets {
 		out.Cells[target] = make(map[cluster.PolicyKind]cluster.Result)
 		for _, pol := range []cluster.PolicyKind{cluster.PolicySMiTe, cluster.PolicyOracle, cluster.PolicyRandom} {
-			if err := ctx.Err(); err != nil {
-				return ScaleOutResult{}, err
-			}
-			r, err := study.Run(pol, qos, target)
+			r, err := study.Run(pol, target)
 			if err != nil {
 				return ScaleOutResult{}, err
 			}
