@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -30,6 +33,58 @@ func checkGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("%s render drifted from golden:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
+}
+
+// checkGoldenJSON compares a driver's full result, marshalled as indented
+// JSON, against testdata/testscale_<name>.json, rewriting it with -update.
+// encoding/json prints every float64 in its shortest round-tripping form,
+// so equal bytes mean bit-identical numbers: these fixtures pin the
+// simulated pipelines behind the figures at TestScale, not their renders.
+func checkGoldenJSON(t *testing.T, name string, v any) {
+	t.Helper()
+	got, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got = append(got, '\n')
+	golden := filepath.Join("testdata", "testscale_"+name+".json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the fixture)", err)
+	}
+	if !bytes.Equal(got, want) {
+		g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		i := 0
+		for i < len(g) && i < len(w) && bytes.Equal(g[i], w[i]) {
+			i++
+		}
+		line := func(ls [][]byte) string {
+			if i < len(ls) {
+				return string(ls[i])
+			}
+			return "<EOF>"
+		}
+		t.Errorf("%s result drifted from %s at line %d:\n got: %s\nwant: %s", name, golden, i+1, line(g), line(w))
+	}
+}
+
+// scaleOutJSON re-keys a scale-out study's Cells by the target's shortest
+// decimal form, since encoding/json cannot marshal float64 map keys.
+func scaleOutJSON(r ScaleOutResult) any {
+	cells := make(map[string]map[cluster.PolicyKind]cluster.Result, len(r.Cells))
+	for target, byPolicy := range r.Cells {
+		cells[strconv.FormatFloat(target, 'g', -1, 64)] = byPolicy
+	}
+	return struct {
+		QoS     cluster.QoSKind
+		Targets []float64
+		Cells   map[string]map[cluster.PolicyKind]cluster.Result
+	}{r.QoS, r.Targets, cells}
 }
 
 // The synthetic results below are hand-built rather than simulated so the

@@ -20,18 +20,21 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatalf("Table1: want 2 machines, got %d", len(t1.Machines))
 	}
 	t.Log(t1.String())
+	checkGoldenJSON(t, "table1", t1)
 
 	fig6, err := l.Fig6SummaryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig6.String())
+	checkGoldenJSON(t, "fig6", fig6)
 
 	fig7, err := l.Fig7CorrelationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig7.String())
+	checkGoldenJSON(t, "fig7", fig7)
 	if fig7.FracBelow80 < 0.4 {
 		t.Errorf("Fig7: only %.2f of dimension pairs decorrelated below 0.8; paper reports 97.96%%", fig7.FracBelow80)
 	}
@@ -41,6 +44,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(fig10.String())
+	checkGoldenJSON(t, "fig10", fig10)
 	if fig10.SmiteEval.MeanAbsError >= fig10.PMUEval.MeanAbsError {
 		t.Errorf("Fig10: SMiTe (%.3f) should beat PMU (%.3f)", fig10.SmiteEval.MeanAbsError, fig10.PMUEval.MeanAbsError)
 	}
@@ -50,18 +54,21 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(fig12.String())
+	checkGoldenJSON(t, "fig12", fig12)
 
 	fig13, err := l.Fig13TailLatencyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig13.String())
+	checkGoldenJSON(t, "fig13", fig13)
 
 	fig14, err := l.Fig14And15AvgQoSContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig14.String())
+	checkGoldenJSON(t, "fig14", scaleOutJSON(fig14))
 	g95 := fig14.Cells[0.95][cluster.PolicySMiTe].UtilizationGain
 	g85 := fig14.Cells[0.85][cluster.PolicySMiTe].UtilizationGain
 	if g85 < g95 {
@@ -73,6 +80,21 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(fig18.String())
+	checkGoldenJSON(t, "fig18", fig18)
+
+	fig16, err := l.Fig16And17TailQoSContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenJSON(t, "fig16", scaleOutJSON(fig16))
+
+	// The serving artifacts carry the cloud study's Sen(n) profiles and
+	// SMT characterizations verbatim.
+	serving, err := l.ServingArtifactsContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenJSON(t, "serving", serving)
 }
 
 // TestExperimentsSmoke2 covers the drivers not exercised by the first
@@ -89,6 +111,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(ports.String())
+	checkGoldenJSON(t, "ports", ports)
 	if ports.Pairs == 0 {
 		t.Fatal("no pairs")
 	}
@@ -102,6 +125,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(fig9.String())
+	checkGoldenJSON(t, "fig9", fig9)
 	for _, fu := range fig9.FU {
 		if fu.TargetUtil < 0.9999 {
 			t.Errorf("%s target-port utilisation %.5f < 99.99%%", fu.Name, fu.TargetUtil)
@@ -127,6 +151,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(fig11.String())
+	checkGoldenJSON(t, "fig11", fig11)
 	if fig11.SmiteEval.MeanAbsError >= fig11.PMUEval.MeanAbsError*1.2+0.02 {
 		t.Errorf("Fig11: SMiTe (%.3f) should not lose badly to PMU (%.3f) even at reduced scale", fig11.SmiteEval.MeanAbsError, fig11.PMUEval.MeanAbsError)
 	}
@@ -145,6 +170,7 @@ func TestModelAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(r.String())
+	checkGoldenJSON(t, "ablation", r)
 	byName := make(map[string]AblationRow)
 	for _, row := range r.Rows {
 		byName[row.Model] = row
@@ -170,6 +196,7 @@ func TestCrossMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(r.String())
+	checkGoldenJSON(t, "crossmachine", r)
 	if r.NativeErr <= 0 || r.TransferErr <= 0 || r.RetrainedErr <= 0 {
 		t.Errorf("degenerate errors: %+v", r)
 	}
