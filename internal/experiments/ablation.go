@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/profile"
-	"repro/internal/workload"
 )
 
 // AblationResult compares every prediction model on the Figure 10 protocol
@@ -34,27 +33,7 @@ type AblationRow struct {
 
 // ModelAblationContext runs the comparison.
 func (l *Lab) ModelAblationContext(ctx context.Context) (AblationResult, error) {
-	train := l.specSet(workload.EvenSPEC())
-	test := l.specSet(workload.OddSPEC())
-	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, all)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	p := l.Profiler(IvyBridge)
-	trainPairs, err := p.MeasurePairsContext(ctx, train, train, profile.SMT)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	testPairs, err := p.MeasurePairsContext(ctx, test, test, profile.SMT)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	trainObs, err := model.BuildObservations(chars, trainPairs)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	testObs, err := model.BuildObservations(chars, testPairs)
+	trainObs, testObs, err := l.specSplit(ctx, IvyBridge, profile.SMT)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -67,51 +46,26 @@ func (l *Lab) ModelAblationContext(ctx context.Context) (AblationResult, error) 
 		out.MeasuredMean /= float64(len(testObs))
 	}
 
-	type trained struct {
-		name string
-		m    model.Predictor
-		err  error
+	trainers := []struct {
+		name  string
+		train func([]model.PairObs) (model.Predictor, error)
+	}{
+		{"SMiTe (Eq.3, NNLS)", func(o []model.PairObs) (model.Predictor, error) { return model.TrainSmiteNNLS(o) }},
+		{"SMiTe (Eq.3, OLS)", func(o []model.PairObs) (model.Predictor, error) { return model.TrainSmite(o) }},
+		{"Bubble-Up-style (1 dim)", func(o []model.PairObs) (model.Predictor, error) { return model.TrainBubbleUp(o) }},
+		{"PMU linear (Eq.9)", func(o []model.PairObs) (model.Predictor, error) { return model.TrainPMULinear(o) }},
+		{"PMU polynomial", func(o []model.PairObs) (model.Predictor, error) { return model.TrainPMUPoly(o) }},
+		{"PMU decision tree", func(o []model.PairObs) (model.Predictor, error) { return model.TrainCART(o, 0, 0) }},
 	}
-	var models []trained
-	if m, err := model.TrainSmiteNNLS(trainObs); err == nil {
-		models = append(models, trained{"SMiTe (Eq.3, NNLS)", m, nil})
-	} else {
-		models = append(models, trained{"SMiTe (Eq.3, NNLS)", nil, err})
-	}
-	if m, err := model.TrainSmite(trainObs); err == nil {
-		models = append(models, trained{"SMiTe (Eq.3, OLS)", m, nil})
-	} else {
-		models = append(models, trained{"SMiTe (Eq.3, OLS)", nil, err})
-	}
-	if m, err := model.TrainBubbleUp(trainObs); err == nil {
-		models = append(models, trained{"Bubble-Up-style (1 dim)", m, nil})
-	} else {
-		models = append(models, trained{"Bubble-Up-style (1 dim)", nil, err})
-	}
-	if m, err := model.TrainPMULinear(trainObs); err == nil {
-		models = append(models, trained{"PMU linear (Eq.9)", m, nil})
-	} else {
-		models = append(models, trained{"PMU linear (Eq.9)", nil, err})
-	}
-	if m, err := model.TrainPMUPoly(trainObs); err == nil {
-		models = append(models, trained{"PMU polynomial", m, nil})
-	} else {
-		models = append(models, trained{"PMU polynomial", nil, err})
-	}
-	if m, err := model.TrainCART(trainObs, 0, 0); err == nil {
-		models = append(models, trained{"PMU decision tree", m, nil})
-	} else {
-		models = append(models, trained{"PMU decision tree", nil, err})
-	}
-
-	for _, tr := range models {
-		if tr.err != nil {
-			return AblationResult{}, fmt.Errorf("experiments: training %s: %w", tr.name, tr.err)
+	for _, tr := range trainers {
+		m, err := tr.train(trainObs)
+		if err != nil {
+			return AblationResult{}, fmt.Errorf("experiments: training %s: %w", tr.name, err)
 		}
 		out.Rows = append(out.Rows, AblationRow{
 			Model:    tr.name,
-			TestErr:  model.Evaluate(tr.m, testObs).MeanAbsError,
-			TrainErr: model.Evaluate(tr.m, trainObs).MeanAbsError,
+			TestErr:  model.Evaluate(m, testObs).MeanAbsError,
+			TrainErr: model.Evaluate(m, trainObs).MeanAbsError,
 		})
 	}
 	return out, nil

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/profile"
-	"repro/internal/workload"
 )
 
 // CrossMachineResult asks a question the paper leaves implicit by
@@ -28,41 +27,14 @@ type CrossMachineResult struct {
 // CrossMachineContext runs the transfer study on the SPEC even/odd
 // protocol.
 func (l *Lab) CrossMachineContext(ctx context.Context) (CrossMachineResult, error) {
-	train := l.specSet(workload.EvenSPEC())
-	test := l.specSet(workload.OddSPEC())
-	all := append(append([]*workload.Spec{}, train...), test...)
-
-	build := func(m Machine) (trainObs, testObs []model.PairObs, err error) {
-		chars, err := l.CharacterizationsContext(ctx, m, profile.SMT, all)
-		if err != nil {
-			return nil, nil, err
-		}
-		p := l.Profiler(m)
-		trainPairs, err := p.MeasurePairsContext(ctx, train, train, profile.SMT)
-		if err != nil {
-			return nil, nil, err
-		}
-		testPairs, err := p.MeasurePairsContext(ctx, test, test, profile.SMT)
-		if err != nil {
-			return nil, nil, err
-		}
-		trainObs, err = model.BuildObservations(chars, trainPairs)
-		if err != nil {
-			return nil, nil, err
-		}
-		testObs, err = model.BuildObservations(chars, testPairs)
-		return trainObs, testObs, err
-	}
-
-	ivbTrain, ivbTest, err := build(IvyBridge)
+	ivbTrain, ivbTest, err := l.specSplit(ctx, IvyBridge, profile.SMT)
 	if err != nil {
 		return CrossMachineResult{}, err
 	}
-	snbTrain, snbTest, err := build(SandyBridgeEN)
+	snbTrain, snbTest, err := l.specSplit(ctx, SandyBridgeEN, profile.SMT)
 	if err != nil {
 		return CrossMachineResult{}, err
 	}
-
 	ivbModel, err := model.TrainSmiteNNLS(ivbTrain)
 	if err != nil {
 		return CrossMachineResult{}, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/simcache"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -46,35 +46,11 @@ func (l *Lab) Fig11SpecCMPContext(ctx context.Context) (PredictionResult, error)
 }
 
 func (l *Lab) specPrediction(ctx context.Context, placement profile.Placement, title string) (PredictionResult, error) {
-	train := l.specSet(workload.EvenSPEC())
-	test := l.specSet(workload.OddSPEC())
-	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := l.CharacterizationsContext(ctx, IvyBridge, placement, all)
+	trainObs, testObs, err := l.specSplit(ctx, IvyBridge, placement)
 	if err != nil {
 		return PredictionResult{}, err
 	}
-	p := l.Profiler(IvyBridge)
-	trainPairs, err := p.MeasurePairsContext(ctx, train, train, placement)
-	if err != nil {
-		return PredictionResult{}, err
-	}
-	testPairs, err := p.MeasurePairsContext(ctx, test, test, placement)
-	if err != nil {
-		return PredictionResult{}, err
-	}
-	trainObs, err := model.BuildObservations(chars, trainPairs)
-	if err != nil {
-		return PredictionResult{}, err
-	}
-	testObs, err := model.BuildObservations(chars, testPairs)
-	if err != nil {
-		return PredictionResult{}, err
-	}
-	smite, err := model.TrainSmiteNNLS(trainObs)
-	if err != nil {
-		return PredictionResult{}, err
-	}
-	pmuM, err := model.TrainPMULinear(trainObs)
+	smite, pmuM, err := trainModels(trainObs)
 	if err != nil {
 		return PredictionResult{}, err
 	}
@@ -97,6 +73,45 @@ func (l *Lab) specPrediction(ctx context.Context, placement profile.Placement, t
 		res.MeasuredPerApp[a] = s / float64(counts[a])
 	}
 	return res, nil
+}
+
+// specSplit is the Section IV-B1 SPEC protocol on one machine: both SPEC
+// halves are characterized together, even-numbered pairs become the
+// training observations and odd-numbered pairs the testing ones.
+func (l *Lab) specSplit(ctx context.Context, m Machine, placement profile.Placement) (train, test []model.PairObs, err error) {
+	even := l.specSet(workload.EvenSPEC())
+	odd := l.specSet(workload.OddSPEC())
+	chars, err := l.CharacterizationsContext(ctx, m, placement, append(append([]*workload.Spec{}, even...), odd...))
+	if err != nil {
+		return nil, nil, err
+	}
+	if train, err = l.observe(ctx, m, placement, chars, even); err != nil {
+		return nil, nil, err
+	}
+	test, err = l.observe(ctx, m, placement, chars, odd)
+	return train, test, err
+}
+
+// observe measures every distinct pair within apps on a machine and joins
+// the measurements with the apps' characterizations into Equation 3
+// observations.
+func (l *Lab) observe(ctx context.Context, m Machine, placement profile.Placement, chars []profile.Characterization, apps []*workload.Spec) ([]model.PairObs, error) {
+	pairs, err := l.Profiler(m).MeasurePairsContext(ctx, apps, apps, placement)
+	if err != nil {
+		return nil, err
+	}
+	return model.BuildObservations(chars, pairs)
+}
+
+// trainModels fits the two models every prediction figure compares: SMiTe's
+// Equation 3 (non-negative least squares) and the Equation 9 PMU baseline.
+func trainModels(obs []model.PairObs) (model.Smite, model.PMULinear, error) {
+	smite, err := model.TrainSmiteNNLS(obs)
+	if err != nil {
+		return model.Smite{}, model.PMULinear{}, err
+	}
+	pmuM, err := model.TrainPMULinear(obs)
+	return smite, pmuM, err
 }
 
 // String renders the per-application bars of the figure.
@@ -211,19 +226,11 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 		for _, c := range chars {
 			charBy[c.App] = c
 		}
-		trainPairs, err := p.MeasurePairsContext(ctx, train, train, placement)
+		trainObs, err := l.observe(ctx, SandyBridgeEN, placement, chars, train)
 		if err != nil {
 			return nil, err
 		}
-		trainObs, err := model.BuildObservations(chars, trainPairs)
-		if err != nil {
-			return nil, err
-		}
-		smite, err := model.TrainSmiteNNLS(trainObs)
-		if err != nil {
-			return nil, err
-		}
-		pmuM, err := model.TrainPMULinear(trainObs)
+		smite, pmuM, err := trainModels(trainObs)
 		if err != nil {
 			return nil, err
 		}
@@ -239,18 +246,17 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 		// Partial-occupancy sensitivities: Sen(n) per latency app and
 		// instance count, measured with n Ruler instances (paper-style
 		// Ruler-only profiling; no batch cross-product).
-		senByCount := make(map[string][]profile.Characterization) // app → index n-1
-		for _, latSpec := range cloudApps {
-			latJob := profile.AppThreads(latSpec, latThreads)
-			arr := make([]profile.Characterization, maxN)
-			for n := 1; n <= maxN; n++ {
-				chN, err := p.CharacterizeJobRulersContext(ctx, latJob, placement, n)
-				if err != nil {
-					return nil, err
-				}
-				arr[n-1] = chN
-			}
-			senByCount[latSpec.Name] = arr
+		latJobs := make([]profile.Job, len(cloudApps))
+		for i, latSpec := range cloudApps {
+			latJobs[i] = profile.AppThreads(latSpec, latThreads)
+		}
+		occ, err := p.CharacterizeOccupancyContext(ctx, latJobs, placement, maxN)
+		if err != nil {
+			return nil, err
+		}
+		senByCount := make(map[string][]profile.Characterization, len(cloudApps)) // app → index n-1
+		for i, latSpec := range cloudApps {
+			senByCount[latSpec.Name] = occ[i]
 		}
 		if placement == profile.SMT {
 			cs.servingSen = senByCount
@@ -350,8 +356,8 @@ func (l *Lab) Fig12CloudSuiteContext(ctx context.Context) (Fig12Result, error) {
 				if e.actual > row.MeasuredMax {
 					row.MeasuredMax = e.actual
 				}
-				row.SmiteErr += abs(e.predicted - e.actual)
-				row.PMUErr += abs(e.pmuPred - e.actual)
+				row.SmiteErr += math.Abs(e.predicted - e.actual)
+				row.PMUErr += math.Abs(e.pmuPred - e.actual)
 			}
 			n := float64(len(es))
 			row.MeasuredAvg /= n
@@ -366,13 +372,6 @@ func (l *Lab) Fig12CloudSuiteContext(ctx context.Context) (Fig12Result, error) {
 		out.PerPlacement[placement] = fp
 	}
 	return out, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // String renders the figure's rows.
@@ -434,13 +433,4 @@ func (l *Lab) ServingArtifactsContext(ctx context.Context) (ServingArtifacts, er
 		Threads:      cs.threads,
 		MaxInstances: cs.maxInstances[profile.SMT],
 	}, nil
-}
-
-// meanMeasured is a small helper used by tests.
-func meanMeasured(rows []Fig12Row) float64 {
-	var s []float64
-	for _, r := range rows {
-		s = append(s, r.MeasuredAvg)
-	}
-	return stats.Mean(s)
 }

@@ -126,7 +126,7 @@ func (l *Lab) Fig13TailLatencyContext(ctx context.Context) (Fig13Result, error) 
 			}
 			row.Cells = append(row.Cells, cell)
 			if measured > 0 && pred > 0 {
-				errSum += abs(pred-measured) / measured
+				errSum += math.Abs(pred-measured) / measured
 				n++
 			}
 		}

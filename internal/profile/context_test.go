@@ -155,3 +155,34 @@ func TestCharacterizeAllProgress(t *testing.T) {
 		t.Errorf("final progress %d/%d, want %d/%d", finalDone, finalTotal, want, want)
 	}
 }
+
+// A single CharacterizeContext reports Progress like the batch paths: on
+// the 8-Ruler standard set it ends at done == total == 17 (one job solo,
+// 8 Ruler solos and 8 co-location cells).
+func TestCharacterizeProgress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("characterization runs in short mode")
+	}
+	opts := batchOptions()
+	var mu sync.Mutex
+	var finalDone, finalTotal int
+	opts.Progress = func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if done > finalDone {
+			finalDone, finalTotal = done, total
+		}
+	}
+	p := NewProfiler(batchConfig(), opts)
+	if n := len(p.RulerSet()); n != 8 {
+		t.Fatalf("standard Ruler set has %d Rulers, want 8", n)
+	}
+	if _, err := p.CharacterizeContext(context.Background(), mustByName(t, "444.namd"), SMT); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if finalDone != 17 || finalTotal != 17 {
+		t.Errorf("final progress %d/%d, want 17/17", finalDone, finalTotal)
+	}
+}

@@ -70,10 +70,10 @@ type Options struct {
 	// scheduler's reduction is index-ordered — so this is purely a
 	// throughput/footprint knob.
 	Parallelism int
-	// Progress, when non-nil, receives batch progress from the scheduled
-	// helpers (CharacterizeAllContext, CharacterizeSweepContext and
-	// MeasurePairsContext): done counts completed simulation cells of the
-	// current batch, total the batch's cell count. It may be invoked
+	// Progress, when non-nil, receives batch progress from every
+	// characterization entry point and from MeasurePairsContext: done
+	// counts completed simulation cells (pairs, for MeasurePairsContext)
+	// of the current batch, total the batch's cell count. It may be invoked
 	// concurrently from worker goroutines; done is monotone per batch but
 	// calls can arrive out of order. Excluded from cache keys — it never
 	// influences results.
@@ -582,53 +582,56 @@ func (p *Profiler) CharacterizeContext(ctx context.Context, spec *workload.Spec,
 // CharacterizeJobContext is CharacterizeContext for an explicit Job
 // arrangement, using one Ruler instance per job instance (full pressure).
 func (p *Profiler) CharacterizeJobContext(ctx context.Context, job Job, placement Placement) (Characterization, error) {
-	return p.CharacterizeJobRulersContext(ctx, job, placement, job.Instances())
+	out, err := p.characterize(ctx, []target{{job, job.Instances()}}, placement, standardGrid)
+	if err != nil {
+		return Characterization{}, err
+	}
+	return out[0].Characterization, nil
 }
 
-// CharacterizeJobRulersContext characterizes a job against a specific Ruler
-// instance count. For multithreaded latency applications this measures the
-// *partial-occupancy* sensitivity Sen(n) — the degradation when only n of
-// the job's sibling contexts carry pressure — which the scale-out studies
-// use to predict co-locations with fewer batch instances than threads.
-// Profiling cost stays Ruler-only: no batch-application cross-product. The
-// per-Ruler (application, Ruler) cells — independent simulations — run on
-// the internal/sched worker pool; because each cell writes only its own
-// Sen/Con dimension, the result is bit-identical to the sequential sweep
-// at any Parallelism.
-func (p *Profiler) CharacterizeJobRulersContext(ctx context.Context, job Job, placement Placement, rulerInstances int) (Characterization, error) {
-	ctx, span := trace.Start(ctx, "profile.characterize",
-		trace.String("job", job.Name()), trace.String("placement", placement.String()))
-	defer span.End()
-	solo, err := p.SoloRunContext(ctx, job)
+// CharacterizeAllContext characterises a batch of applications, each placed
+// with JobFor, in one flat batch of simulation cells (see characterize).
+func (p *Profiler) CharacterizeAllContext(ctx context.Context, specs []*workload.Spec, placement Placement) ([]Characterization, error) {
+	targets := make([]target, len(specs))
+	for i, s := range specs {
+		job := p.JobFor(s, placement)
+		targets[i] = target{job, job.Instances()}
+	}
+	sweeps, err := p.characterize(ctx, targets, placement, standardGrid)
 	if err != nil {
-		return Characterization{}, err
+		return nil, err
 	}
-	ch := Characterization{
-		App:       job.Name(),
-		Placement: placement,
-		SoloIPC:   solo.AppIPC,
-		SoloPMU:   solo.AppCounters[0],
+	out := make([]Characterization, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = sw.Characterization
 	}
-	instances := rulerInstances
-	if instances < 1 {
-		instances = 1
-	}
-	if placement == CMP && job.Instances() > p.cfg.Cores/2 {
-		return Characterization{}, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", job.Name(), job.Instances(), p.cfg.Cores)
-	}
-	err = sched.Map(ctx, len(p.set), p.opts.workers(), func(ctx context.Context, i int) error {
-		sen, con, err := p.rulerCell(ctx, job, p.set[i], instances, placement, solo.AppIPC)
-		if err != nil {
-			return err
+	return out, nil
+}
+
+// CharacterizeOccupancyContext measures each job's partial-occupancy
+// sensitivity Sen(n) for n = 1..maxInstances: element [j][n-1] is job j
+// characterized against n Ruler instances, the degradation when only n of
+// its sibling contexts carry pressure. The scale-out studies use it to
+// predict co-locations with fewer batch instances than threads, keeping
+// profiling Ruler-only: no batch-application cross-product. Every
+// (job, n) pair runs in one batch of simulation cells.
+func (p *Profiler) CharacterizeOccupancyContext(ctx context.Context, jobs []Job, placement Placement, maxInstances int) ([][]Characterization, error) {
+	var targets []target
+	for _, job := range jobs {
+		for n := 1; n <= maxInstances; n++ {
+			targets = append(targets, target{job, n})
 		}
-		ch.Sen[p.set[i].Dim] = sen
-		ch.Con[p.set[i].Dim] = con
-		return nil
-	})
-	if err != nil {
-		return Characterization{}, err
 	}
-	return ch, nil
+	sweeps, err := p.characterize(ctx, targets, placement, standardGrid)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Characterization, len(jobs))
+	for i, sw := range sweeps {
+		j := i / maxInstances
+		out[j] = append(out[j], sw.Characterization)
+	}
+	return out, nil
 }
 
 // rulerCell measures one (job, Ruler) characterization cell: the job's
@@ -652,92 +655,6 @@ func (p *Profiler) rulerCell(ctx context.Context, job Job, r *rulers.Ruler, inst
 	return Degradation(soloIPC, res.AppIPC), Degradation(base.AppIPC, res.PartnerIPC), nil
 }
 
-// CharacterizeAllContext characterises a batch of applications
-// concurrently. Instead of nesting one worker pool per application, the batch is
-// flattened into its individual simulation cells — every solo run and
-// every (application, Ruler) co-location — and those cells are fanned
-// across one Options.Parallelism-bounded pool, so the batch scales
-// near-linearly with workers even when it holds fewer applications than
-// CPUs. Each cell writes only its own index-addressed slot; the result is
-// bit-identical to the sequential sweep at any Parallelism (pinned by the
-// internal/simtest parallelism-independence law).
-func (p *Profiler) CharacterizeAllContext(ctx context.Context, specs []*workload.Spec, placement Placement) ([]Characterization, error) {
-	jobs := make([]Job, len(specs))
-	for i, s := range specs {
-		jobs[i] = p.JobFor(s, placement)
-	}
-	return p.characterizeJobs(ctx, jobs, placement)
-}
-
-// characterizeJobs is the flat-cell scheduler behind CharacterizeAllContext.
-func (p *Profiler) characterizeJobs(ctx context.Context, jobs []Job, placement Placement) ([]Characterization, error) {
-	for _, job := range jobs {
-		if placement == CMP && job.Instances() > p.cfg.Cores/2 {
-			return nil, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", job.Name(), job.Instances(), p.cfg.Cores)
-		}
-	}
-	workers := p.opts.workers()
-	nr := len(p.set)
-	solos := len(jobs) + nr
-	total := solos + len(jobs)*nr
-	var done atomic.Int64
-	tick := func() { p.opts.progress(int(done.Add(1)), total) }
-
-	// Phase 1: every solo run — each application arrangement plus the
-	// Ruler baselines of Equation 2 — warms the run cache in parallel, so
-	// phase 2's cells never duplicate a solo simulation.
-	phaseCtx, phase := trace.Start(ctx, "profile.solo-phase",
-		trace.Int("jobs", len(jobs)), trace.Int("rulers", nr))
-	out := make([]Characterization, len(jobs))
-	err := sched.Map(phaseCtx, solos, workers, func(ctx context.Context, i int) error {
-		if i < len(jobs) {
-			solo, err := p.SoloRunContext(ctx, jobs[i])
-			if err != nil {
-				return err
-			}
-			out[i] = Characterization{
-				App:       jobs[i].Name(),
-				Placement: placement,
-				SoloIPC:   solo.AppIPC,
-				SoloPMU:   solo.AppCounters[0],
-			}
-			tick()
-			return nil
-		}
-		if _, err := p.SoloRunContext(ctx, Rulers(p.set[i-len(jobs)], 1)); err != nil {
-			return err
-		}
-		tick()
-		return nil
-	})
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the (application, Ruler) co-location cells, flattened into
-	// one index space. Cell (ji, ri) writes only out[ji].Sen/Con[dim] —
-	// disjoint memory — keeping the reduction order-free.
-	phaseCtx, phase = trace.Start(ctx, "profile.pair-phase",
-		trace.Int("cells", len(jobs)*nr))
-	err = sched.Map(phaseCtx, len(jobs)*nr, workers, func(ctx context.Context, i int) error {
-		ji, ri := i/nr, i%nr
-		sen, con, err := p.rulerCell(ctx, jobs[ji], p.set[ri], jobs[ji].Instances(), placement, out[ji].SoloIPC)
-		if err != nil {
-			return err
-		}
-		out[ji].Sen[p.set[ri].Dim] = sen
-		out[ji].Con[p.set[ri].Dim] = con
-		tick()
-		return nil
-	})
-	phase.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SweepSample is one measured cell of an intensity sweep: the job's
 // sensitivity to — and the Ruler's received contentiousness at — one Ruler
 // duty cycle on one sharing dimension.
@@ -755,6 +672,10 @@ type SweepResult struct {
 	Characterization Characterization
 	Samples          [rulers.NumDimensions][]SweepSample
 }
+
+// standardGrid is the one-column grid of a standard characterization: the
+// unmodified Ruler set at full intensity.
+var standardGrid = []float64{1}
 
 // SweepGrid normalizes a requested intensity list: clamped into (0, 1],
 // deduplicated, ascending, with 1.0 always present (the grid's last column
@@ -781,46 +702,75 @@ func SweepGrid(intensities []float64) []float64 {
 }
 
 // CharacterizeSweepContext measures the (dimension × intensity) grid for
-// each job. Like CharacterizeAllContext it flattens the batch into
-// independent simulation cells — every job and Ruler solo plus one
-// co-location per (job, dimension, intensity) — and fans them across one
-// Parallelism-bounded worker pool, each worker reusing a single pooled chip
-// across its cells. The intensity-1.0 column uses the unmodified standard
-// Ruler set, so it is bit-identical to (and shares simulation-cache entries
-// with) CharacterizeAllContext.
+// each job, one Ruler instance per job instance. The intensity-1.0 column
+// uses the unmodified standard Ruler set, so it is bit-identical to (and
+// shares simulation-cache entries with) CharacterizeAllContext.
 func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, placement Placement, intensities []float64) ([]SweepResult, error) {
-	for _, job := range jobs {
-		if placement == CMP && job.Instances() > p.cfg.Cores/2 {
-			return nil, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", job.Name(), job.Instances(), p.cfg.Cores)
+	targets := make([]target, len(jobs))
+	for i, job := range jobs {
+		targets[i] = target{job, job.Instances()}
+	}
+	return p.characterize(ctx, targets, placement, SweepGrid(intensities))
+}
+
+// target is one job to characterize, co-located with rulers instances of
+// each Ruler.
+type target struct {
+	job    Job
+	rulers int
+}
+
+// characterize is the Ruler-cell scheduler behind every characterization
+// entry point. It measures the (dimension × intensity) grid xs for each
+// target, flattening the batch into independent simulation cells — every
+// target and (Ruler, intensity) solo, then one co-location per
+// (target, Ruler, intensity) — fanned across one Options.Parallelism-
+// bounded pool, each worker reusing a single pooled chip across its cells.
+// The batch scales near-linearly with workers even when it holds fewer
+// jobs than CPUs. Each cell writes only its own index-addressed slot, so
+// the result is bit-identical to the sequential sweep at any Parallelism
+// (pinned by the internal/simtest parallelism-independence law).
+// Options.Progress counts the batch's cells.
+func (p *Profiler) characterize(ctx context.Context, targets []target, placement Placement, xs []float64) ([]SweepResult, error) {
+	if len(targets) == 0 {
+		return nil, nil
+	}
+	for _, tg := range targets {
+		if placement == CMP && tg.job.Instances() > p.cfg.Cores/2 {
+			return nil, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", tg.job.Name(), tg.job.Instances(), p.cfg.Cores)
 		}
 	}
-	xs := SweepGrid(intensities)
-	nr, nx := len(p.set), len(xs)
+	ctx, span := trace.Start(ctx, "profile.characterize",
+		trace.Int("jobs", len(targets)), trace.String("placement", placement.String()))
+	defer span.End()
+	nt, nr, nx := len(targets), len(p.set), len(xs)
 	rulerAt := func(ri, xi int) *rulers.Ruler {
 		if xs[xi] == 1 {
-			return p.set[ri] // standard column: bit-identical to CharacterizeAllContext
+			return p.set[ri] // standard column: the unmodified Ruler set
 		}
 		return p.set[ri].WithIntensity(xs[xi])
 	}
 	workers := p.opts.workers()
-	solos := len(jobs) + nr*nx
-	total := solos + len(jobs)*nr*nx
+	solos := nt + nr*nx
+	total := solos + nt*nr*nx
 	var done atomic.Int64
 	tick := func() { p.opts.progress(int(done.Add(1)), total) }
 
-	// Phase 1: all solo runs — each job plus every (Ruler, intensity)
-	// baseline of Equation 2 — warm the run cache in parallel.
-	phaseCtx, phase := trace.Start(ctx, "profile.sweep-solo-phase",
-		trace.Int("jobs", len(jobs)), trace.Int("cells", solos))
-	out := make([]SweepResult, len(jobs))
+	// Phase 1: all solo runs — each target plus every (Ruler, intensity)
+	// baseline of Equation 2 — warm the run cache in parallel, so phase 2's
+	// cells never duplicate a solo simulation.
+	phaseCtx, phase := trace.Start(ctx, "profile.solo-phase",
+		trace.Int("jobs", nt), trace.Int("cells", solos))
+	out := make([]SweepResult, nt)
 	err := sched.Map(phaseCtx, solos, workers, func(ctx context.Context, i int) error {
-		if i < len(jobs) {
-			solo, err := p.SoloRunContext(ctx, jobs[i])
+		if i < nt {
+			job := targets[i].job
+			solo, err := p.SoloRunContext(ctx, job)
 			if err != nil {
 				return err
 			}
 			out[i].Characterization = Characterization{
-				App:       jobs[i].Name(),
+				App:       job.Name(),
 				Placement: placement,
 				SoloIPC:   solo.AppIPC,
 				SoloPMU:   solo.AppCounters[0],
@@ -831,7 +781,7 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 			tick()
 			return nil
 		}
-		ri, xi := (i-len(jobs))/nx, (i-len(jobs))%nx
+		ri, xi := (i-nt)/nx, (i-nt)%nx
 		if _, err := p.SoloRunContext(ctx, Rulers(rulerAt(ri, xi), 1)); err != nil {
 			return err
 		}
@@ -843,21 +793,21 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 		return nil, err
 	}
 
-	// Phase 2: the (job, dimension, intensity) co-location cells, flattened
+	// Phase 2: the (target, Ruler, intensity) co-location cells, flattened
 	// into one index space; each writes only its own grid slot.
-	phaseCtx, phase = trace.Start(ctx, "profile.sweep-pair-phase",
-		trace.Int("cells", len(jobs)*nr*nx))
-	err = sched.Map(phaseCtx, len(jobs)*nr*nx, workers, func(ctx context.Context, i int) error {
-		ji, ri, xi := i/(nr*nx), (i/nx)%nr, i%nx
-		r := rulerAt(ri, xi)
-		sen, con, err := p.rulerCell(ctx, jobs[ji], r, jobs[ji].Instances(), placement, out[ji].Characterization.SoloIPC)
+	phaseCtx, phase = trace.Start(ctx, "profile.pair-phase",
+		trace.Int("cells", nt*nr*nx))
+	err = sched.Map(phaseCtx, nt*nr*nx, workers, func(ctx context.Context, i int) error {
+		ti, ri, xi := i/(nr*nx), (i/nx)%nr, i%nx
+		tg, dim := targets[ti], p.set[ri].Dim
+		sen, con, err := p.rulerCell(ctx, tg.job, rulerAt(ri, xi), tg.rulers, placement, out[ti].Characterization.SoloIPC)
 		if err != nil {
 			return err
 		}
-		out[ji].Samples[p.set[ri].Dim][xi] = SweepSample{Intensity: xs[xi], Sen: sen, Con: con}
+		out[ti].Samples[dim][xi] = SweepSample{Intensity: xs[xi], Sen: sen, Con: con}
 		if xs[xi] == 1 {
-			out[ji].Characterization.Sen[p.set[ri].Dim] = sen
-			out[ji].Characterization.Con[p.set[ri].Dim] = con
+			out[ti].Characterization.Sen[dim] = sen
+			out[ti].Characterization.Con[dim] = con
 		}
 		tick()
 		return nil

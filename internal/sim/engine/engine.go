@@ -205,16 +205,6 @@ func (c *Context) mergeWheel(now uint64) {
 	}
 }
 
-// depReady reports whether the dependency at absolute sequence dep has
-// produced its result by cycle now.
-func (c *Context) depReady(dep, now uint64) bool {
-	if dep == noDep || dep < c.head {
-		return true // retired (or no dependency)
-	}
-	e := c.entry(dep)
-	return e.issued && e.completeAt <= now
-}
-
 // depHint reports whether e's dependencies are satisfied at now; when they
 // are not, it returns the earliest future cycle at which a re-check could
 // succeed. An issued dependency has an exact completion cycle. An unissued

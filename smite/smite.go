@@ -219,10 +219,11 @@ func WithParallelism(n int) Option {
 	return func(dst *sysOptions) { dst.opts.Parallelism = n }
 }
 
-// WithProgress installs a progress callback for batch operations: done
-// counts completed simulation cells of the current batch, total the
-// batch's cell count. It may be invoked concurrently from worker
-// goroutines.
+// WithProgress installs a progress callback for every characterization
+// (Characterize as well as CharacterizeAll and TrainFromSets) and for
+// MeasurePairs: done counts completed simulation cells of the current
+// batch, total the batch's cell count. It may be invoked concurrently from
+// worker goroutines.
 func WithProgress(fn func(done, total int)) Option {
 	return func(dst *sysOptions) { dst.opts.Progress = fn }
 }
