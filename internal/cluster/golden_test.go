@@ -254,3 +254,68 @@ func TestGoldenStudy(t *testing.T) {
 	}
 	checkGolden(t, "golden_study.json", got)
 }
+
+// TestGoldenGates pins the admission, scoring and violation-accounting
+// paths the other fixtures leave open: QoS-floor policies under SLO
+// accounting, every policy family under injected drift, the QoS-floor
+// and SLO gates on a heterogeneous fleet, and legacy tables without a
+// degradation surface — one fixture entry per case, on goldenConfig's
+// workload.
+func TestGoldenGates(t *testing.T) {
+	drift := func(factor float64, batches ...int) *DriftSpec {
+		return &DriftSpec{At: 2.0 / 3, Factor: factor, Batches: batches}
+	}
+	legacy := func(cfg *SimConfig) {
+		lt := *cfg.Table
+		lt.PredDeg, lt.ActualDeg, lt.PredBound = nil, nil, nil
+		cfg.Table = &lt
+	}
+	cases := []struct {
+		name   string
+		gens   bool
+		policy PolicyKind
+		slo    bool
+		drift  *DriftSpec
+		alloc  string
+		legacy bool
+	}{
+		{name: "smite-slo", policy: PolicySMiTe, slo: true},
+		{name: "random-slo-drift", policy: PolicyRandom, slo: true, drift: drift(3, 0, 2)},
+		{name: "smite-drift", policy: PolicySMiTe, drift: drift(3, 1)},
+		{name: "oracle-drift", policy: PolicyOracle, drift: drift(0.5)},
+		{name: "slo-drift", policy: PolicySLO, slo: true, drift: drift(3)},
+		{name: "closedloop-drift", policy: PolicyClosedLoop, slo: true, drift: drift(3, 0, 2)},
+		{name: "gens-oracle", gens: true, policy: PolicyOracle},
+		{name: "gens-slo-spread", gens: true, policy: PolicySLO, slo: true, alloc: "spread"},
+		{name: "gens-isolation-mindeg", gens: true, policy: PolicyIsolation, slo: true, alloc: "mindeg"},
+		{name: "legacy-smite-mindeg", policy: PolicySMiTe, alloc: "mindeg", legacy: true},
+		{name: "legacy-smite-drift", policy: PolicySMiTe, drift: drift(3), legacy: true},
+	}
+	got := make(map[string]goldenRun, len(cases))
+	for _, c := range cases {
+		cfg := goldenConfig(t)
+		if c.gens {
+			cfg = synthGenConfig(t, 100, 2, 97)
+			cfg.Workload.ArrivalRate = 3600
+			cfg.Workload.MeanDuration = 0.05
+			cfg.Workload.Churn = 0.05
+		}
+		cfg.Policy, cfg.Drift, cfg.Alloc = c.policy, c.drift, c.alloc
+		if c.slo {
+			cfg.SLO = sloSimParams()
+		}
+		if c.legacy {
+			legacy(&cfg)
+		}
+		events, err := GenerateEvents(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := RunSim(context.Background(), cfg, events, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got[c.name] = goldenOf(res)
+	}
+	checkGolden(t, "golden_gates.json", got)
+}
