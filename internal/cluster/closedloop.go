@@ -62,47 +62,35 @@ func (d *DriftSpec) affects(b int) bool {
 }
 
 // driftWorld is the precomputed post-drift measured surface, shared
-// read-only across shards: the drifted ActualDeg per cell, and whether
-// each cell's true post-drift outcome misses its objective — the class
-// tail budget when SLO parameters are set, the QoS floor otherwise.
+// read-only across shards: the drifted ActualDeg per cell (nil on legacy
+// tables), and whether each cell's true post-drift outcome misses its
+// objective, as buildGate decides it.
 type driftWorld struct {
 	at        float64
 	actualDeg []float64
 	violate   []bool
 }
 
-// buildDriftWorld evaluates the drifted surface once per cell.
-func buildDriftWorld(t *PredTable, p *SLOSimParams, spec *DriftSpec, target float64) *driftWorld {
-	w := &driftWorld{at: spec.At, violate: make([]bool, len(t.ActualQoS))}
-	if t.HasDegradations() {
-		w.actualDeg = slices.Clone(t.ActualDeg)
-	}
-	for l := 0; l < len(t.LatencyApps); l++ {
-		var cl SLOSimClass
-		if p != nil {
-			cl = p.classFor(l)
+// buildDriftWorld shifts a copy of the table's measured surface and
+// evaluates the violations on it once per cell.
+func buildDriftWorld(cfg *SimConfig) (*driftWorld, error) {
+	spec, t := cfg.Drift, *cfg.Table
+	t.ActualQoS, t.ActualDeg = slices.Clone(t.ActualQoS), slices.Clone(t.ActualDeg)
+	for i := range t.ActualQoS {
+		if !spec.affects(i / t.MaxInstances % len(t.BatchApps)) {
+			continue
 		}
-		for b := 0; b < len(t.BatchApps); b++ {
-			shifted := spec.affects(b)
-			for n := 1; n <= t.MaxInstances; n++ {
-				i := t.Cell(l, b, n)
-				qos := t.ActualQoS[i]
-				if shifted {
-					if w.actualDeg != nil {
-						w.actualDeg[i] = clamp01(t.ActualDeg[i] * spec.Factor)
-					}
-					// QoS is 1 − loss; the loss scales with the degradation.
-					qos = clamp01(1 - (1-qos)*spec.Factor)
-				}
-				if p != nil {
-					w.violate[i] = cl.violated(w.actualDeg[i])
-				} else {
-					w.violate[i] = qos < target
-				}
-			}
+		if t.ActualDeg != nil {
+			t.ActualDeg[i] = clamp01(t.ActualDeg[i] * spec.Factor)
 		}
+		// QoS is 1 − loss; the loss scales with the degradation.
+		t.ActualQoS[i] = clamp01(1 - (1-t.ActualQoS[i])*spec.Factor)
 	}
-	return w
+	g, err := buildGate(&t, cfg, nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &driftWorld{at: spec.At, actualDeg: t.ActualDeg, violate: g.violate}, nil
 }
 
 // closedLoop is PolicyClosedLoop: one shard's mutable copy of the SLO
@@ -117,21 +105,21 @@ type closedLoop struct {
 	// rewritten in place on re-characterization.
 	predDeg   []float64
 	predBound []float64
-	cur       surface
-	scanned   [][]surface // cur, in the [gen][level] shape the scan reads
+	cur       gate
+	scanned   [][]gate // cur, in the [gen][level] shape the scan reads
 }
 
 // newClosedLoop seeds the working state from the static surfaces.
 func newClosedLoop(s *shardSim) admission {
 	t, g := s.t, s.w.gates[0][0]
-	cur := surface{admit: slices.Clone(g.admit), slack: slices.Clone(g.slack)}
+	cur := gate{admit: slices.Clone(g.admit), slack: slices.Clone(g.slack)}
 	return &closedLoop{
 		s:         s,
 		det:       newDriftDetector(),
 		predDeg:   slices.Clone(t.PredDeg),
 		predBound: slices.Clone(t.PredBound),
 		cur:       cur,
-		scanned:   [][]surface{{cur}},
+		scanned:   [][]gate{{cur}},
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/isol"
@@ -73,6 +74,9 @@ func (p *IsolSimParams) withDefaults() *IsolSimParams {
 func (p *IsolSimParams) Validate() error {
 	if p == nil {
 		return fmt.Errorf("cluster: isolation policy needs isolation parameters")
+	}
+	if len(p.Levels) > math.MaxInt16 {
+		return fmt.Errorf("cluster: %d isolation levels exceed %d", len(p.Levels), math.MaxInt16)
 	}
 	return isol.ValidateSettings(p.Levels)
 }
@@ -160,10 +164,10 @@ func (s *shardSim) taxAt(n, level int16) float64 {
 }
 
 // isolationPolicy is PolicyIsolation: the SLO gate's scan over every
-// (generation, ladder level) surface, with an escalate-then-migrate hook.
-type isolationPolicy struct{ sloPolicy }
+// (generation, ladder level) gate, with an escalate-then-migrate hook.
+type isolationPolicy struct{ gatePolicy }
 
-func newIsolationPolicy(s *shardSim) admission { return isolationPolicy{sloPolicy{s}} }
+func newIsolationPolicy(s *shardSim) admission { return isolationPolicy{gatePolicy{s}} }
 
 // placed runs the ladder for the instance that just landed on local: if
 // the machine's operating point leaves the placement violating its class
@@ -203,24 +207,17 @@ func (p isolationPolicy) placed(local int32, b, cell int, at float64) {
 }
 
 // simWorld is the read-only per-run state RunSim precomputes once and
-// shares across shards: per-generation tables and geometry, the QoS-floor
-// surfaces, the per-(generation, level) admission gates, the isolation
-// ladder, the drift surface and the allocation scorer.
+// shares across shards: per-generation tables and geometry, the
+// per-(generation, level) gates, the isolation ladder, the drift surface
+// and the allocation scorer.
 type simWorld struct {
 	tables []*PredTable
-	floor  [][]surface  // [gen][0]; nil unless the policy admits on the QoS floor
-	gates  [][]*sloGate // [gen][level]; nil without SLO parameters
-	slo    [][]surface  // gates' admission surfaces, as the scan reads them
-	// violate[gen] marks the cells whose measured outcome misses the
-	// objective: the class tail budget when SLO parameters are set (for
-	// every policy, so greedy-vs-SLO studies count violations alike), the
-	// QoS floor otherwise.
-	violate [][]bool
-	geoms   []genGeom // per-generation server geometry, len ≥ 1
-	genCum  []int     // cumulative generation counts; nil when homogeneous
-	levels  []isol.Setting
-	dw      *driftWorld
-	alloc   func(slack float64, n int, predDeg float64) float64 // nil = bestfit fast path
+	gates  [][]gate  // [gen][level]; the identity level alone without a ladder
+	geoms  []genGeom // per-generation server geometry, len ≥ 1
+	genCum []int     // cumulative generation counts; nil when homogeneous
+	levels []isol.Setting
+	dw     *driftWorld
+	alloc  func(slack float64, n int, predDeg float64) float64 // nil = bestfit fast path
 }
 
 // genGeom is one generation's server geometry.
@@ -245,53 +242,31 @@ func buildSimWorld(cfg *SimConfig) (*simWorld, error) {
 	} else {
 		w.geoms = []genGeom{{threads: cfg.ThreadsPerServer, contexts: cfg.ContextsPerServer}}
 	}
+	ladder := []isol.Setting{{DegScale: 1}}
 	if cfg.Isol != nil {
-		w.levels = cfg.Isol.Levels
+		w.levels, ladder = cfg.Isol.Levels, cfg.Isol.Levels
 	}
-	if spec, _ := policyOf(cfg.Policy); spec.floor != nil {
-		for _, t := range w.tables {
-			qos := spec.floor(t)
-			f := surface{admit: make([]bool, len(qos)), slack: make([]float64, len(qos))}
-			for i, q := range qos {
-				f.admit[i] = q >= cfg.Target
-				f.slack[i] = q - cfg.Target
-			}
-			w.floor = append(w.floor, []surface{f})
-		}
-	}
-	if cfg.SLO != nil {
-		// One gate per (generation, ladder level); without a ladder, the
-		// identity level alone.
-		ladder := w.levels
-		if ladder == nil {
-			ladder = []isol.Setting{{DegScale: 1}}
-		}
-		w.gates = make([][]*sloGate, len(w.tables))
-		w.slo = make([][]surface, len(w.tables))
-		for gi, t := range w.tables {
-			for _, lv := range ladder {
-				g, err := buildSLOGate(t, cfg.SLO, lv.DegScale)
-				if err != nil {
-					return nil, err
-				}
-				w.gates[gi] = append(w.gates[gi], g)
-				w.slo[gi] = append(w.slo[gi], g.surface)
-			}
-		}
-	}
+	spec, _ := policyOf(cfg.Policy)
+	w.gates = make([][]gate, len(w.tables))
 	for gi, t := range w.tables {
-		if w.gates != nil {
-			w.violate = append(w.violate, w.gates[gi][0].violate)
-			continue
+		var floor []float64
+		if spec.floor != nil {
+			floor = spec.floor(t)
 		}
-		v := make([]bool, len(t.ActualQoS))
-		for i, q := range t.ActualQoS {
-			v[i] = q < cfg.Target
+		for _, lv := range ladder {
+			g, err := buildGate(t, cfg, floor, lv.DegScale)
+			if err != nil {
+				return nil, err
+			}
+			w.gates[gi] = append(w.gates[gi], g)
 		}
-		w.violate = append(w.violate, v)
 	}
 	if cfg.Drift != nil {
-		w.dw = buildDriftWorld(cfg.Table, cfg.SLO, cfg.Drift, cfg.Target)
+		dw, err := buildDriftWorld(cfg)
+		if err != nil {
+			return nil, err
+		}
+		w.dw = dw
 	}
 	if cfg.Alloc != "" && cfg.Alloc != "bestfit" {
 		p, err := AllocPolicyByName(cfg.Alloc)

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 
+	"repro/internal/slo"
 	"repro/internal/xrand"
 )
 
@@ -32,8 +34,8 @@ type policySpec struct {
 	ladder     bool // actuates SimConfig.Isol; does not compose with drift
 	scans      bool // scores bucket-scan candidates with SimConfig.Alloc
 	mixedFleet bool // runs on heterogeneous MachineGens fleets
-	// floor selects the QoS surface a QoS-floor policy admits on; simWorld
-	// precomputes its admit/slack arrays once per generation.
+	// floor selects the QoS surface a QoS-floor policy admits on; nil
+	// admits through the SLO gate (buildGate).
 	floor func(t *PredTable) []float64
 	// control and label name the comparison run clustersim sets beside
 	// this policy (ControlConfig); an empty label means none.
@@ -47,15 +49,15 @@ type policySpec struct {
 func policyOf(k PolicyKind) (spec policySpec, ok bool) {
 	switch k {
 	case PolicySMiTe:
-		return policySpec{scans: true, mixedFleet: true, newShard: newFloorPolicy,
+		return policySpec{scans: true, mixedFleet: true, newShard: newGatePolicy,
 			floor: func(t *PredTable) []float64 { return t.PredQoS }}, true
 	case PolicyOracle:
-		return policySpec{scans: true, mixedFleet: true, newShard: newFloorPolicy,
+		return policySpec{scans: true, mixedFleet: true, newShard: newGatePolicy,
 			floor: func(t *PredTable) []float64 { return t.ActualQoS }}, true
 	case PolicyRandom:
 		return policySpec{mixedFleet: true, newShard: newRandomPolicy}, true
 	case PolicySLO:
-		return policySpec{needsSLO: true, scans: true, mixedFleet: true, newShard: newSLOPolicy,
+		return policySpec{needsSLO: true, scans: true, mixedFleet: true, newShard: newGatePolicy,
 			control: PolicySMiTe, label: "greedy"}, true
 	case PolicyClosedLoop:
 		return policySpec{needsSLO: true, scans: true, newShard: newClosedLoop,
@@ -82,28 +84,71 @@ func ControlConfig(cfg SimConfig) (control SimConfig, label string, ok bool) {
 	return cfg, spec.label, true
 }
 
-// surface is one admission surface over the table cells: whether a
-// placement is admissible, and its headroom for allocation scoring.
-type surface struct {
-	admit []bool
-	slack []float64
+// gate is one precomputed admission surface over a table's cells, for
+// one (generation, isolation level) pair: whether a placement is
+// admissible, its headroom for allocation scoring, and whether its
+// measured outcome misses the objective.
+type gate struct {
+	admit   []bool
+	slack   []float64
+	violate []bool
+}
+
+// buildGate evaluates a gate once per cell of t. A QoS-floor policy passes
+// its floor surface and admits on q ≥ target with headroom q − target;
+// the others pass nil and admit through the SLO check POST /v1/admit runs,
+// with slack the effective budget minus the inflated tail. violate is the
+// class tail budget when SLO parameters are set — for every policy, so
+// greedy-vs-SLO studies count violations alike — and the QoS floor
+// otherwise. An isolation level's DegScale shrinks the predicted
+// degradation, its bound and the measured degradation alike (1 without
+// isolation), so each level gets its own gate.
+func buildGate(t *PredTable, cfg *SimConfig, floor []float64, scale float64) (gate, error) {
+	p := cfg.SLO
+	if p != nil && !t.HasDegradations() {
+		return gate{}, fmt.Errorf("cluster: prediction table has no degradation surface (rebuild it with this version's BuildPredTable)")
+	}
+	cells := len(t.ActualQoS)
+	g := gate{admit: make([]bool, cells), slack: make([]float64, cells), violate: make([]bool, cells)}
+	for l := range t.LatencyApps {
+		var cl SLOSimClass
+		if p != nil {
+			cl = p.classFor(l)
+		}
+		for b := range t.BatchApps {
+			for n := 1; n <= t.MaxInstances; n++ {
+				i := t.Cell(l, b, n)
+				if floor != nil {
+					g.admit[i], g.slack[i] = floor[i] >= cfg.Target, floor[i]-cfg.Target
+				} else if p != nil {
+					dec := slo.EvaluateAdmission(t.PredDeg[i]*scale, t.PredBound[i]*scale, cl.Mu, cl.Lambda, cl.Class(), p.Headroom)
+					g.admit[i], g.slack[i] = dec.Admitted, dec.EffectiveBudget-dec.Tail
+				}
+				g.violate[i] = t.ActualQoS[i] < cfg.Target
+				if p != nil {
+					g.violate[i] = cl.violated(t.ActualDeg[i] * scale)
+				}
+			}
+		}
+	}
+	return g, nil
 }
 
 // scan is the bucket scan the five scanning policies share; each supplies
-// only its admission surfaces, surfaces[gen][level]. It picks the machine
-// for one instance of batch b, or −1 to reject: O(generations × levels ×
+// only its gates, gates[gen][level]. It picks the machine for one
+// instance of batch b, or −1 to reject: O(generations × levels ×
 // lats × instances) bucket peeks, never a fleet scan, scoring admissible
 // candidates with the configured allocation policy (bestfit by default:
 // tightest headroom wins) under deterministic tie-breaks (first
 // admissible state in bucket-scan order, then lowest machine id).
-func (s *shardSim) scan(b int, surfaces [][]surface) int32 {
+func (s *shardSim) scan(b int, gates [][]gate) int32 {
 	alloc := s.w.alloc
 	bestState := -1
 	bestScore := math.Inf(1)
 	for gen := 0; gen < s.nGens; gen++ {
 		t := s.w.tables[gen]
 		for level := 0; level < s.nLevels; level++ {
-			admit, slack := surfaces[gen][level].admit, surfaces[gen][level].slack
+			admit, slack := gates[gen][level].admit, gates[gen][level].slack
 			for lat := 0; lat < s.nLat; lat++ {
 				// n counts a candidate's resident instances: n = 0 is the
 				// empty machines, which take the first instance (always at
@@ -142,10 +187,10 @@ func (s *shardSim) scan(b int, surfaces [][]surface) int32 {
 }
 
 // countViolation is the violation accounting every policy but Isolation
-// shares: it reads simWorld's violation surface for the machine's
-// generation, or the post-drift one once the drift has landed.
+// shares: it reads the unisolated gate of the machine's generation, or
+// the post-drift one once the drift has landed.
 func (s *shardSim) countViolation(local int32, cell int, at float64) {
-	violate := s.w.violate[s.machines[local].gen]
+	violate := s.w.gates[s.machines[local].gen][0].violate
 	if dw := s.w.dw; dw != nil && at >= dw.at {
 		violate = dw.violate
 	}
@@ -198,15 +243,15 @@ func (s *shardSim) migrate(from int32, b int, at float64) {
 	})
 }
 
-// floorPolicy is PolicySMiTe and PolicyOracle: best fit on the QoS floor
-// (q ≥ target, headroom q − target) over the predicted or the measured
-// surface, precomputed per generation in simWorld.
-type floorPolicy struct{ s *shardSim }
+// gatePolicy is PolicySMiTe, PolicyOracle and PolicySLO: best fit over
+// the precomputed gates — the QoS floor on the predicted or the measured
+// surface, or the per-class tail-latency budgets (slo.go).
+type gatePolicy struct{ s *shardSim }
 
-func newFloorPolicy(s *shardSim) admission { return floorPolicy{s} }
+func newGatePolicy(s *shardSim) admission { return gatePolicy{s} }
 
-func (p floorPolicy) pick(b int) int32                     { return p.s.scan(b, p.s.w.floor) }
-func (p floorPolicy) placed(l int32, _, c int, at float64) { p.s.countViolation(l, c, at) }
+func (p gatePolicy) pick(b int) int32                     { return p.s.scan(b, p.s.w.gates) }
+func (p gatePolicy) placed(l int32, _, c int, at float64) { p.s.countViolation(l, c, at) }
 
 // randomPolicy is PolicyRandom: it probes the up-machine ring from a
 // random start for spare capacity, ignoring QoS, on a per-shard stream.
@@ -236,12 +281,3 @@ func (p *randomPolicy) pick(b int) int32 {
 }
 
 func (p *randomPolicy) placed(l int32, _, c int, at float64) { p.s.countViolation(l, c, at) }
-
-// sloPolicy is PolicySLO: best fit on tail-latency slack under the
-// per-class effective budgets (slo.go).
-type sloPolicy struct{ s *shardSim }
-
-func newSLOPolicy(s *shardSim) admission { return sloPolicy{s} }
-
-func (p sloPolicy) pick(b int) int32                     { return p.s.scan(b, p.s.w.slo) }
-func (p sloPolicy) placed(l int32, _, c int, at float64) { p.s.countViolation(l, c, at) }

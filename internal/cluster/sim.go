@@ -118,6 +118,11 @@ func (c SimConfig) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
+	// simMachine and Placement narrow app, generation, instance and level
+	// indices to int16.
+	if n := max(c.Workload.Lats, c.Workload.Batches, len(c.MachineGens)); n > math.MaxInt16 {
+		return fmt.Errorf("cluster: %d applications or machine generations exceed %d", n, math.MaxInt16)
+	}
 	if c.Shards < 0 {
 		return fmt.Errorf("cluster: sim shards must be non-negative, got %d", c.Shards)
 	}
@@ -163,10 +168,7 @@ func (c SimConfig) Validate() error {
 	if c.ThreadsPerServer >= c.ContextsPerServer {
 		return fmt.Errorf("cluster: %d threads leave no idle context of %d", c.ThreadsPerServer, c.ContextsPerServer)
 	}
-	if err := c.validateFleet(spec); err != nil {
-		return err
-	}
-	return nil
+	return c.validateFleet(spec)
 }
 
 // validateFleet checks the prediction table(s) and per-generation geometry
@@ -190,9 +192,9 @@ func (c *SimConfig) validateFleet(spec policySpec) error {
 			return wrap(fmt.Errorf("cluster: table is %d×%d apps but workload generates %d×%d",
 				len(t.LatencyApps), len(t.BatchApps), c.Workload.Lats, c.Workload.Batches))
 		}
-		if t.MaxInstances > contexts-threads {
-			return wrap(fmt.Errorf("cluster: %d instances exceed %d idle contexts",
-				t.MaxInstances, contexts-threads))
+		if t.MaxInstances > min(contexts-threads, math.MaxInt16) {
+			return wrap(fmt.Errorf("cluster: %d instances exceed %d idle contexts or %d",
+				t.MaxInstances, contexts-threads, math.MaxInt16))
 		}
 		return nil
 	}

@@ -371,7 +371,7 @@ func TestSimSLOPolicy(t *testing.T) {
 	}
 
 	// The admission contract: no placement on an inadmissible cell.
-	gate, err := buildSLOGate(cfg.Table, cfg.SLO, 1)
+	gate, err := buildGate(cfg.Table, &cfg, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // into the discrete-event simulator as PolicySLO: instead of a QoS-floor
 // best-fit, placements are admitted against per-class tail-latency
 // budgets using the error-bound-inflated Eq. 6 estimate — exactly the
-// check POST /v1/admit runs, evaluated once per (lat, batch, n) cell so
-// the event loop stays pure array lookups.
+// check POST /v1/admit runs, evaluated once per (lat, batch, n) cell by
+// buildGate (policy.go) so the event loop stays pure array lookups.
 
 // SLOSimClass maps one latency application population onto an SLO class:
 // the slo budget/percentile pair plus the service's M/M/1 rates, which
@@ -73,46 +73,4 @@ func (c SLOSimClass) violated(actualDeg float64) bool {
 // classFor returns the class assigned to latency application index lat.
 func (p *SLOSimParams) classFor(lat int) SLOSimClass {
 	return p.Classes[lat%len(p.Classes)]
-}
-
-// sloGate is the precomputed per-cell admission surface: for every
-// (lat, batch, n) cell of the PredTable, whether the inflated predicted
-// tail fits the effective budget, the admission slack used for best-fit
-// scoring, and whether the *measured* degradation actually violates the
-// class budget (the violation the Summary counts, for every policy run
-// under SLO parameters — so greedy-vs-SLO comparisons count violations
-// identically).
-type sloGate struct {
-	surface // slack is effectiveBudget − predictedTail; valid where admit
-	violate []bool
-}
-
-// buildSLOGate evaluates the admission check once per cell, with an
-// isolation level's DegScale folded in: the predicted degradation, its
-// bound and the measured degradation all shrink by the level's shielding
-// factor (1 without isolation), so each (generation, level) pair gets its
-// own admission/violation surface and the event loop stays array lookups.
-func buildSLOGate(t *PredTable, p *SLOSimParams, scale float64) (*sloGate, error) {
-	if !t.HasDegradations() {
-		return nil, fmt.Errorf("cluster: prediction table has no degradation surface (rebuild it with this version's BuildPredTable)")
-	}
-	cells := len(t.PredDeg)
-	g := &sloGate{
-		surface: surface{admit: make([]bool, cells), slack: make([]float64, cells)},
-		violate: make([]bool, cells),
-	}
-	for l := 0; l < len(t.LatencyApps); l++ {
-		cl := p.classFor(l)
-		class := cl.Class()
-		for b := 0; b < len(t.BatchApps); b++ {
-			for n := 1; n <= t.MaxInstances; n++ {
-				i := t.Cell(l, b, n)
-				dec := slo.EvaluateAdmission(t.PredDeg[i]*scale, t.PredBound[i]*scale, cl.Mu, cl.Lambda, class, p.Headroom)
-				g.admit[i] = dec.Admitted
-				g.slack[i] = dec.EffectiveBudget - dec.Tail
-				g.violate[i] = cl.violated(t.ActualDeg[i] * scale)
-			}
-		}
-	}
-	return g, nil
 }

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	clworkload "repro/internal/cluster/workload"
+	"repro/internal/isol"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -292,4 +294,80 @@ func FuzzReadTrace(f *testing.F) {
 			t.Fatalf("accepted trace does not replay: %v", err)
 		}
 	})
+}
+
+// TestInt16IndexBounds: simMachine and Placement narrow the latency-app,
+// batch-app, instance-count, generation and ladder-level indices to
+// int16, so Validate must reject every count past math.MaxInt16. A trace
+// with 40000 latency apps and one machine coming up on the last of them
+// used to pass ReadTrace and panic RunSim with a negative index.
+func TestInt16IndexBounds(t *testing.T) {
+	const lats = math.MaxInt16 + 7233
+	tbl := &PredTable{
+		LatencyApps: make([]string, lats), BatchApps: []string{"b0"}, MaxInstances: 1,
+		PredQoS: make([]float64, lats), ActualQoS: make([]float64, lats),
+	}
+	for i := range tbl.LatencyApps {
+		tbl.LatencyApps[i] = fmt.Sprintf("l%d", i)
+	}
+	cfg := SimConfig{
+		Workload: clworkload.Config{Lats: lats, Batches: 1, Horizon: 1, Seed: 1},
+		Shards:   1, Policy: PolicySMiTe, Target: 0.9,
+		ThreadsPerServer: 1, ContextsPerServer: 2, Table: tbl,
+	}
+	up := clworkload.Event{Kind: clworkload.KindMachineUp, At: 0.5, Lat: lats - 1}
+	var trace bytes.Buffer
+	enc := json.NewEncoder(&trace)
+	if err := enc.Encode(traceHeader{Format: TraceFormat, Version: TraceVersion, Config: cfg, Events: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(traceEvent{Event: up}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadTrace(&trace); !errors.Is(err, ErrTraceCorrupt) {
+		t.Errorf("ReadTrace of a %d-latency-app trace = %v, want ErrTraceCorrupt", lats, err)
+	}
+	if _, err := RunSim(context.Background(), cfg, [][]clworkload.Event{{up}}, 1); err == nil {
+		t.Errorf("RunSim accepted %d latency apps", lats)
+	}
+
+	over := math.MaxInt16 + 1
+	for _, tc := range []struct {
+		name string
+		edit func(c *SimConfig)
+	}{
+		{"batch apps", func(c *SimConfig) {
+			c.Workload.Batches = over
+			c.Table.BatchApps = make([]string, over)
+			c.Table.PredQoS, c.Table.ActualQoS = make([]float64, 3*over*6), make([]float64, 3*over*6)
+		}},
+		{"instances", func(c *SimConfig) {
+			c.ContextsPerServer = 2 * over
+			c.Table.MaxInstances = over
+			c.Table.PredQoS, c.Table.ActualQoS = make([]float64, 3*4*over), make([]float64, 3*4*over)
+		}},
+		{"machine generations", func(c *SimConfig) {
+			c.MachineGens = make([]MachineGenSpec, over)
+			for i := range c.MachineGens {
+				c.MachineGens[i] = MachineGenSpec{Name: fmt.Sprintf("g%d", i), Count: 1, Table: c.Table}
+			}
+			c.Table = nil
+		}},
+		{"isolation levels", func(c *SimConfig) {
+			c.Policy, c.SLO = PolicyIsolation, sloSimParams()
+			c.Isol = &IsolSimParams{Levels: make([]isol.Setting, over)}
+			for i := range c.Isol.Levels {
+				c.Isol.Levels[i] = isol.Setting{Name: "off", ThrottleFrac: 1, DegScale: 1}
+			}
+		}},
+	} {
+		c := synthSimConfig(t, 10, 1, 3)
+		tbl := *c.Table
+		tbl.PredDeg, tbl.ActualDeg, tbl.PredBound = nil, nil, nil
+		c.Table = &tbl
+		tc.edit(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprint(math.MaxInt16)) {
+			t.Errorf("%s: %d accepted or rejected for another reason: %v", tc.name, over, err)
+		}
+	}
 }
