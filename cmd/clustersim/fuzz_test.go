@@ -2,6 +2,9 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
+	"math"
 	"testing"
 
 	"repro/internal/isol"
@@ -61,6 +64,57 @@ func FuzzParseIsolLadder(f *testing.F) {
 		}
 		if err := isol.ValidateSettings(levels); err != nil {
 			t.Fatalf("%q: accepted %+v, which ValidateSettings rejects: %v", spec, levels, err)
+		}
+	})
+}
+
+// FuzzSimFlags: whatever the float flags, -alloc, -machine-mix and
+// -policy say, the sim flags resolve either to a *FlagError or to a
+// config that passes SimConfig.Validate with every float finite. Values
+// the flag package cannot parse as numbers never reach the config and
+// are skipped. The target stops before GenerateEvents and RunSim.
+func FuzzSimFlags(f *testing.F) {
+	f.Add("1", "0", "0.02", "0.92", "0", "0", "1000", "600", "", "", "smite")
+	f.Add("NaN", "Inf", "-0", "1", "0.5", "3", "1e3", "999", "spread", "snb=3,ivb=2", "slo")
+	f.Add("0.5", "1e5", "0.1", "0.9", "NaN", "2", "Inf", "NaN", "mindeg", "snb=1", "closedloop")
+	f.Fuzz(func(t *testing.T, duration, arrival, churn, target, driftAt, driftFactor, mu, lambda, alloc, mix, policy string) {
+		fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		sim := bindSimFlags(fs)
+		if err := fs.Parse([]string{
+			"-machines=20", "-parallelism=1", "-duration=" + duration, "-arrival=" + arrival, "-churn=" + churn,
+			"-target=" + target, "-drift-at=" + driftAt, "-drift-factor=" + driftFactor,
+			"-slo-mu=" + mu, "-slo-lambda=" + lambda, "-alloc=" + alloc, "-machine-mix=" + mix, "-policy=" + policy,
+		}); err != nil {
+			return
+		}
+		cfg, err := sim.config("avg")
+		if err != nil {
+			var fe *FlagError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v is not a *FlagError", err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("resolved config fails Validate: %v", err)
+		}
+		w := cfg.Workload
+		floats := []float64{w.Horizon, w.ArrivalRate, w.MeanDuration, w.Diurnal, w.Period, w.BurstProb,
+			w.BurstFactor, w.Window, w.Drift, w.Churn, cfg.Target}
+		if d := cfg.Drift; d != nil {
+			floats = append(floats, d.At, d.Factor)
+		}
+		if p := cfg.SLO; p != nil {
+			floats = append(floats, p.Headroom)
+			for _, cl := range p.Classes {
+				floats = append(floats, cl.Budget, cl.Percentile, cl.Mu, cl.Lambda)
+			}
+		}
+		for _, x := range floats {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("accepted a non-finite value in %+v", cfg)
+			}
 		}
 	})
 }

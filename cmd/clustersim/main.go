@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -64,28 +65,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	versionFlag := fs.Bool("version", false, "print the build version and exit")
 
 	simFlag := fs.Bool("sim", false, "run the warehouse-scale discrete-event simulator instead of the static study")
-	machinesFlag := fs.Int("machines", 1000, "sim: initial fleet size")
-	durationFlag := fs.Float64("duration", 1, "sim: simulated horizon in time units")
-	churnFlag := fs.Float64("churn", 0.02, "sim: machine churn rate (fraction of fleet per time unit)")
-	arrivalFlag := fs.Float64("arrival", 0, "sim: job arrival rate per time unit (0 = 30 jobs per machine)")
-	policyFlag := fs.String("policy", "smite", "sim: placement policy (smite, oracle, random, slo, closedloop or isolation)")
-	targetFlag := fs.Float64("target", 0.92, "sim: QoS floor placements must respect, in (0,1]")
-	shardsFlag := fs.Int("shards", 0, "sim: scheduling cells to split the fleet into (0 = default)")
-	parFlag := fs.Int("parallelism", 0, "sim: worker goroutines for shard fan-out (0 = GOMAXPROCS); results are identical at any value")
-	seedFlag := fs.Uint64("seed", 1, "sim: workload and synthetic-world seed")
-	traceOutFlag := fs.String("trace-out", "", "sim: record the exogenous event trace to this file")
-	replayFlag := fs.String("replay", "", "replay a recorded trace (implies -sim; config comes from the trace header)")
-	summaryFlag := fs.String("summary-json", "", "sim: write the machine-readable run summary to this file (- for stdout)")
-	sloClassesFlag := fs.String("slo-classes", "critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90",
-		"sim: SLO classes for -policy=slo as name:budget[:percentile],... (budgets are Go durations)")
-	sloHeadroomFlag := fs.Float64("slo-headroom", 0.1, "sim: admission headroom in [0,1); budgets shrink to budget*(1-headroom) for admission")
-	sloMuFlag := fs.Float64("slo-mu", 1000, "sim: solo per-thread service rate (req/s) for the SLO classes' M/M/1 model")
-	sloLambdaFlag := fs.Float64("slo-lambda", 600, "sim: arrival rate (req/s) for the SLO classes' M/M/1 model")
-	driftAtFlag := fs.Float64("drift-at", 0, "sim: simulated time the measured degradation surface shifts (with -drift-factor)")
-	driftFactorFlag := fs.Float64("drift-factor", 0, "sim: factor the measured degradations scale by at -drift-at (0 = no drift)")
-	machineMixFlag := fs.String("machine-mix", "", "sim: heterogeneous fleet as gen=weight,... over named machine generations (snb, ivb, power7, smt4, biglittle); empty = homogeneous")
-	isolFlag := fs.String("isol", "", "sim: isolation ladder for -policy=isolation as name:degscale:tax,... above the implicit off level (empty = stock ladder)")
-	allocFlag := fs.String("alloc", "", "sim: thread-to-core allocation policy scoring candidate contexts (bestfit, firstfit, spread, minload or mindeg; empty = bestfit)")
+	sim := bindSimFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,18 +74,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return nil
 	}
 
-	if *simFlag || *replayFlag != "" {
-		return runClusterSim(ctx, simOptions{
-			machines: *machinesFlag, duration: *durationFlag, churn: *churnFlag,
-			arrival: *arrivalFlag, policy: *policyFlag, target: *targetFlag,
-			shards: *shardsFlag, parallelism: *parFlag, seed: *seedFlag,
-			traceOut: *traceOutFlag, replay: *replayFlag, summaryJSON: *summaryFlag,
-			qos:        *qosFlag,
-			sloClasses: *sloClassesFlag, sloHeadroom: *sloHeadroomFlag,
-			sloMu: *sloMuFlag, sloLambda: *sloLambdaFlag,
-			driftAt: *driftAtFlag, driftFactor: *driftFactorFlag,
-			machineMix: *machineMixFlag, isolSpec: *isolFlag, alloc: *allocFlag,
-		}, w)
+	if *simFlag || sim.replay != "" {
+		return runClusterSim(ctx, sim, *qosFlag, w)
 	}
 
 	var scale experiments.Scale
@@ -158,7 +128,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 	// Per-target policy detail.
 	for _, target := range res.Targets {
-		if !contains(targets, target) {
+		if !slices.Contains(targets, target) {
 			continue
 		}
 		fmt.Fprintf(w, "target %.0f%%:\n", target*100)
@@ -175,15 +145,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		params.ServerCapex, params.ServerPowerWatts, params.PUE, params.ElectricityPerKWh,
 		params.HorizonYears, params.PerServerPerYear())
 	return nil
-}
-
-func contains(xs []float64, v float64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // scaleOutViaDaemon reruns the scale-out study with the SMiTe policy's

@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -30,41 +33,171 @@ func (e *FlagError) Error() string {
 	return fmt.Sprintf("invalid -%s value %q: %s", e.Flag, e.Value, e.Reason)
 }
 
-// simOptions carries the discrete-event mode's parsed flags.
-type simOptions struct {
-	machines    int
-	duration    float64
-	churn       float64
-	arrival     float64
-	policy      string
-	target      float64
-	shards      int
-	parallelism int
-	seed        uint64
-	traceOut    string
-	replay      string
-	summaryJSON string
-	qos         string
+// simFlags holds the discrete-event mode's flags. Flags whose type
+// matches a SimConfig field bind straight into cfg; config resolves the
+// rest — the -policy, -slo-classes, -machine-mix and -isol grammars and
+// the -slo-mu/-slo-lambda rates every class shares — and leaves every
+// range rule to SimConfig.Validate.
+type simFlags struct {
+	fs    *flag.FlagSet
+	cfg   cluster.SimConfig
+	slo   cluster.SLOSimParams
+	drift cluster.DriftSpec
 
-	sloClasses  string
-	sloHeadroom float64
-	sloMu       float64
-	sloLambda   float64
+	policy, sloClasses, machineMix, isolSpec string
+	sloMu, sloLambda                         float64
+	parallelism                              int
+	traceOut, replay, summaryJSON            string
+}
 
-	driftAt     float64
-	driftFactor float64
+// Synthetic-world geometry for -sim runs: a 12-context, 6-thread server
+// (the study's Sandy Bridge-EN shape) whose idle contexts take up to 6
+// batch instances, over a 4×6 application population.
+const (
+	simLats     = 4
+	simBatches  = 6
+	simThreads  = 6
+	simContexts = 12
+)
 
-	machineMix string
-	isolSpec   string
-	alloc      string
+// bindSimFlags registers the discrete-event mode's flags on fs.
+func bindSimFlags(fs *flag.FlagSet) *simFlags {
+	f := &simFlags{fs: fs, cfg: cluster.SimConfig{
+		Workload: clworkload.Config{
+			Lats: simLats, Batches: simBatches,
+			MeanDuration: 0.05,
+			Diurnal:      0.4,
+			BurstProb:    0.1, BurstFactor: 2.5,
+			Drift: 0.2,
+		},
+		ThreadsPerServer:  simThreads,
+		ContextsPerServer: simContexts,
+	}}
+	w := &f.cfg.Workload
+	fs.IntVar(&w.Machines, "machines", 1000, "sim: initial fleet size")
+	fs.Float64Var(&w.Horizon, "duration", 1, "sim: simulated horizon in time units")
+	fs.Float64Var(&w.Churn, "churn", 0.02, "sim: machine churn rate (fraction of fleet per time unit)")
+	fs.Float64Var(&w.ArrivalRate, "arrival", 0, "sim: job arrival rate per time unit (0 = 30 jobs per machine)")
+	fs.StringVar(&f.policy, "policy", "smite", "sim: placement policy (smite, oracle, random, slo, closedloop or isolation)")
+	fs.Float64Var(&f.cfg.Target, "target", 0.92, "sim: QoS floor placements must respect, in (0,1]")
+	fs.IntVar(&f.cfg.Shards, "shards", 0, "sim: scheduling cells to split the fleet into (0 = default)")
+	fs.IntVar(&f.parallelism, "parallelism", 0, "sim: worker goroutines for shard fan-out (0 = GOMAXPROCS); results are identical at any value")
+	fs.Uint64Var(&w.Seed, "seed", 1, "sim: workload and synthetic-world seed")
+	fs.StringVar(&f.traceOut, "trace-out", "", "sim: record the exogenous event trace to this file")
+	fs.StringVar(&f.replay, "replay", "", "replay a recorded trace (implies -sim; config comes from the trace header)")
+	fs.StringVar(&f.summaryJSON, "summary-json", "", "sim: write the machine-readable run summary to this file (- for stdout)")
+	fs.StringVar(&f.sloClasses, "slo-classes", "critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90",
+		"sim: SLO classes for -policy=slo as name:budget[:percentile],... (budgets are Go durations)")
+	fs.Float64Var(&f.slo.Headroom, "slo-headroom", 0.1, "sim: admission headroom in [0,1); budgets shrink to budget*(1-headroom) for admission")
+	fs.Float64Var(&f.sloMu, "slo-mu", 1000, "sim: solo per-thread service rate (req/s) for the SLO classes' M/M/1 model")
+	fs.Float64Var(&f.sloLambda, "slo-lambda", 600, "sim: arrival rate (req/s) for the SLO classes' M/M/1 model")
+	fs.Float64Var(&f.drift.At, "drift-at", 0, "sim: simulated time the measured degradation surface shifts (with -drift-factor)")
+	fs.Float64Var(&f.drift.Factor, "drift-factor", 0, "sim: factor the measured degradations scale by at -drift-at (0 = no drift)")
+	fs.StringVar(&f.machineMix, "machine-mix", "", "sim: heterogeneous fleet as gen=weight,... over named machine generations (snb, ivb, power7, smt4, biglittle); empty = homogeneous")
+	fs.StringVar(&f.isolSpec, "isol", "", "sim: isolation ladder for -policy=isolation as name:degscale:tax,... above the implicit off level (empty = stock ladder)")
+	fs.StringVar(&f.cfg.Alloc, "alloc", "", "sim: thread-to-core allocation policy scoring candidate contexts (bestfit, firstfit, spread, minload or mindeg; empty = bestfit)")
+	return f
+}
 
-	// slo is the parsed -slo-* flag set, filled by validate when the
-	// policy is slo, closedloop or isolation.
-	slo *cluster.SLOSimParams
-	// mix is the parsed -machine-mix flag; empty means homogeneous.
-	mix []mixGen
-	// isolLevels is the parsed -isol ladder; nil means the stock one.
-	isolLevels []isol.Setting
+// reject builds the FlagError for flag from its parsed value.
+func (f *simFlags) reject(flag, reason string) error {
+	return &FlagError{Flag: flag, Value: f.fs.Lookup(flag).Value.String(), Reason: reason}
+}
+
+// simPolicies is the -policy grammar.
+var simPolicies = map[string]cluster.PolicyKind{
+	"smite": cluster.PolicySMiTe, "oracle": cluster.PolicyOracle, "random": cluster.PolicyRandom,
+	"slo": cluster.PolicySLO, "closedloop": cluster.PolicyClosedLoop, "isolation": cluster.PolicyIsolation,
+}
+
+// flagOfField maps the SimConfig fields the flags set onto their flag. A
+// ConfigError path resolves through its longest mapped prefix with the
+// indices dropped: "slo.classes[2].mu" → -slo-mu, "machine_gens[0].count"
+// → -machine-mix.
+var flagOfField = map[string]string{
+	"workload.horizon":      "duration",
+	"workload.churn":        "churn",
+	"workload.arrival_rate": "arrival",
+	"target":                "target",
+	"shards":                "shards",
+	"alloc":                 "alloc",
+	"drift":                 "drift-factor",
+	"drift.at":              "drift-at",
+	"drift.factor":          "drift-factor",
+	"slo.headroom":          "slo-headroom",
+	"slo.classes":           "slo-classes",
+	"slo.classes.mu":        "slo-mu",
+	"slo.classes.lambda":    "slo-lambda",
+	"isolation":             "isol",
+	"machine_gens":          "machine-mix",
+}
+
+var fieldIndex = regexp.MustCompile(`\[\d+\]`)
+
+// config resolves the parsed flags into a SimConfig that passes
+// SimConfig.Validate. The CLI itself checks only its grammars and the
+// rules no SimConfig carries (a positive -machines, because -arrival 0
+// scales with it, and avg QoS, the only kind the synthetic world
+// defines); a Validate rejection maps back onto the flag that set the
+// field.
+func (f *simFlags) config(qos string) (cluster.SimConfig, error) {
+	cfg := f.cfg
+	w := &cfg.Workload
+	if w.Machines <= 0 {
+		return cfg, f.reject("machines", "fleet size must be positive")
+	}
+	if w.ArrivalRate == 0 {
+		w.ArrivalRate = 30 * float64(w.Machines)
+	}
+	if qos != "avg" {
+		return cfg, f.reject("qos", "the synthetic sim world only defines avg QoS")
+	}
+	kind, ok := simPolicies[f.policy]
+	if !ok {
+		return cfg, f.reject("policy", "want smite, oracle, random, slo, closedloop or isolation")
+	}
+	cfg.Policy = kind
+	if kind.NeedsSLO() {
+		classes, err := slo.ParseSLOClasses(f.sloClasses)
+		if err != nil {
+			return cfg, f.reject("slo-classes", err.Error())
+		}
+		p := f.slo
+		for _, cl := range classes {
+			p.Classes = append(p.Classes, cluster.SLOSimClass{
+				Name: cl.Name, Budget: cl.Budget, Percentile: cl.Percentile,
+				Mu: f.sloMu, Lambda: f.sloLambda,
+			})
+		}
+		cfg.SLO = &p
+	}
+	if f.drift.Factor != 0 {
+		d := f.drift
+		cfg.Drift = &d
+	}
+	levels, err := parseIsolLadder(f.isolSpec)
+	if err != nil {
+		return cfg, err
+	}
+	if levels != nil {
+		cfg.Isol = &cluster.IsolSimParams{Levels: levels}
+	}
+	if err := f.attachTables(&cfg); err != nil {
+		return cfg, err
+	}
+	if err := cfg.Validate(); err != nil {
+		var ce *cluster.ConfigError
+		if !errors.As(err, &ce) {
+			return cfg, err
+		}
+		for path := fieldIndex.ReplaceAllString(ce.Field, ""); path != ""; path = path[:max(strings.LastIndexByte(path, '.'), 0)] {
+			if flag, ok := flagOfField[path]; ok {
+				return cfg, f.reject(flag, err.Error())
+			}
+		}
+		return cfg, err
+	}
+	return cfg, nil
 }
 
 // mixGen is one -machine-mix entry resolved against the isa generation
@@ -76,106 +209,6 @@ type mixGen struct {
 	threads, contexts int
 }
 
-// validate rejects unusable flag values with typed errors before any
-// work starts. Replay mode takes its workload from the trace header, so
-// only the execution knobs are checked there.
-func (o *simOptions) validate() error {
-	if o.replay == "" {
-		if o.machines <= 0 {
-			return &FlagError{Flag: "machines", Value: fmt.Sprint(o.machines), Reason: "fleet size must be positive"}
-		}
-		if o.duration <= 0 {
-			return &FlagError{Flag: "duration", Value: fmt.Sprint(o.duration), Reason: "simulated horizon must be positive"}
-		}
-		if o.churn < 0 {
-			return &FlagError{Flag: "churn", Value: fmt.Sprint(o.churn), Reason: "churn rate must be non-negative"}
-		}
-		if o.arrival < 0 {
-			return &FlagError{Flag: "arrival", Value: fmt.Sprint(o.arrival), Reason: "arrival rate must be non-negative (0 = 30 jobs/machine)"}
-		}
-		if o.target <= 0 || o.target > 1 {
-			return &FlagError{Flag: "target", Value: fmt.Sprint(o.target), Reason: "QoS target must be in (0, 1]"}
-		}
-		switch o.policy {
-		case "smite", "oracle", "random":
-		case "slo", "closedloop", "isolation":
-			p, err := o.sloParams()
-			if err != nil {
-				return err
-			}
-			o.slo = p
-		default:
-			return &FlagError{Flag: "policy", Value: o.policy, Reason: "want smite, oracle, random, slo, closedloop or isolation"}
-		}
-		if o.isolSpec != "" && o.policy != "isolation" {
-			return &FlagError{Flag: "isol", Value: o.isolSpec, Reason: "isolation ladder needs -policy=isolation"}
-		}
-		if o.policy == "isolation" {
-			if o.driftFactor > 0 {
-				return &FlagError{Flag: "drift-factor", Value: fmt.Sprint(o.driftFactor), Reason: "drift injection does not compose with -policy=isolation"}
-			}
-			levels, err := parseIsolLadder(o.isolSpec)
-			if err != nil {
-				return err
-			}
-			o.isolLevels = levels
-		}
-		if o.alloc != "" {
-			if _, err := cluster.AllocPolicyByName(o.alloc); err != nil {
-				return &FlagError{Flag: "alloc", Value: o.alloc, Reason: err.Error()}
-			}
-			if o.policy == "random" {
-				return &FlagError{Flag: "alloc", Value: o.alloc, Reason: "allocation scoring has no effect under -policy=random"}
-			}
-		}
-		if o.machineMix != "" {
-			mix, err := parseMachineMix(o.machineMix)
-			if err != nil {
-				return err
-			}
-			if o.policy == "closedloop" {
-				return &FlagError{Flag: "machine-mix", Value: o.machineMix, Reason: "closedloop does not support heterogeneous machine generations yet"}
-			}
-			if o.driftFactor > 0 {
-				return &FlagError{Flag: "machine-mix", Value: o.machineMix, Reason: "drift injection does not support heterogeneous machine generations yet"}
-			}
-			o.mix = mix
-		}
-		if o.driftFactor < 0 {
-			return &FlagError{Flag: "drift-factor", Value: fmt.Sprint(o.driftFactor), Reason: "drift factor must be non-negative (0 = no drift)"}
-		}
-		if o.driftFactor > 0 && o.driftAt < 0 {
-			return &FlagError{Flag: "drift-at", Value: fmt.Sprint(o.driftAt), Reason: "drift time must be non-negative"}
-		}
-		if o.qos != "avg" {
-			return &FlagError{Flag: "qos", Value: o.qos, Reason: "the synthetic sim world only defines avg QoS"}
-		}
-		if o.shards < 0 {
-			return &FlagError{Flag: "shards", Value: fmt.Sprint(o.shards), Reason: "shard count must be non-negative"}
-		}
-	}
-	if o.parallelism < 0 {
-		return &FlagError{Flag: "parallelism", Value: fmt.Sprint(o.parallelism), Reason: "worker count must be non-negative"}
-	}
-	return nil
-}
-
-func (o *simOptions) policyKind() cluster.PolicyKind {
-	switch o.policy {
-	case "oracle":
-		return cluster.PolicyOracle
-	case "random":
-		return cluster.PolicyRandom
-	case "slo":
-		return cluster.PolicySLO
-	case "closedloop":
-		return cluster.PolicyClosedLoop
-	case "isolation":
-		return cluster.PolicyIsolation
-	}
-	return cluster.PolicySMiTe
-}
-
 // parseMachineMix resolves "gen=weight,..." against the isa machine
 // generation registry, mapping malformed entries onto typed FlagErrors.
 // Weights are relative machine counts: "snb=3,ivb=2" means 3 Sandy
@@ -183,7 +216,6 @@ func (o *simOptions) policyKind() cluster.PolicyKind {
 // global machine ID.
 func parseMachineMix(spec string) ([]mixGen, error) {
 	var mix []mixGen
-	seen := map[string]bool{}
 	for _, field := range strings.Split(spec, ",") {
 		name, weight, ok := strings.Cut(strings.TrimSpace(field), "=")
 		if !ok {
@@ -194,18 +226,11 @@ func parseMachineMix(spec string) ([]mixGen, error) {
 		if err != nil {
 			return nil, &FlagError{Flag: "machine-mix", Value: spec, Reason: err.Error()}
 		}
-		if seen[name] {
-			return nil, &FlagError{Flag: "machine-mix", Value: spec, Reason: fmt.Sprintf("generation %q listed twice", name)}
-		}
-		seen[name] = true
 		n, err := strconv.Atoi(strings.TrimSpace(weight))
 		if err != nil || n <= 0 {
 			return nil, &FlagError{Flag: "machine-mix", Value: spec, Reason: fmt.Sprintf("weight %q must be a positive integer", weight)}
 		}
 		mix = append(mix, mixGen{name: name, count: n, threads: cfg.Cores, contexts: cfg.Contexts()})
-	}
-	if len(mix) == 0 {
-		return nil, &FlagError{Flag: "machine-mix", Value: spec, Reason: "empty mix"}
 	}
 	return mix, nil
 }
@@ -240,67 +265,30 @@ func parseIsolLadder(spec string) ([]isol.Setting, error) {
 	return levels, nil
 }
 
-// sloParams parses the -slo-* flags into simulation parameters, mapping
-// every malformed value onto a typed FlagError so smited and clustersim
-// agree on the class grammar (slo.ParseSLOClasses) and on exiting 2.
-func (o *simOptions) sloParams() (*cluster.SLOSimParams, error) {
-	classes, err := slo.ParseSLOClasses(o.sloClasses)
-	if err != nil {
-		return nil, &FlagError{Flag: "slo-classes", Value: o.sloClasses, Reason: err.Error()}
-	}
-	if err := slo.CheckHeadroom(o.sloHeadroom); err != nil {
-		return nil, &FlagError{Flag: "slo-headroom", Value: fmt.Sprint(o.sloHeadroom), Reason: err.Error()}
-	}
-	if !(o.sloMu > 0) {
-		return nil, &FlagError{Flag: "slo-mu", Value: fmt.Sprint(o.sloMu), Reason: "service rate must be positive"}
-	}
-	if !(o.sloLambda > 0) {
-		return nil, &FlagError{Flag: "slo-lambda", Value: fmt.Sprint(o.sloLambda), Reason: "arrival rate must be positive"}
-	}
-	p := &cluster.SLOSimParams{Headroom: o.sloHeadroom}
-	for _, cl := range classes {
-		p.Classes = append(p.Classes, cluster.SLOSimClass{
-			Name: cl.Name, Budget: cl.Budget, Percentile: cl.Percentile,
-			Mu: o.sloMu, Lambda: o.sloLambda,
-		})
-	}
-	return p, nil
-}
-
-// Synthetic-world geometry for -sim runs: a 12-context, 6-thread server
-// (the study's Sandy Bridge-EN shape) whose idle contexts take up to 6
-// batch instances, over a 4×6 application population.
-const (
-	simLats     = 4
-	simBatches  = 6
-	simThreads  = 6
-	simContexts = 12
-)
-
 // runClusterSim executes the discrete-event mode: either a fresh
 // synthetic-world run (optionally recorded with -trace-out) or a byte-
 // exact replay of a recorded trace.
-func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
-	if err := o.validate(); err != nil {
-		return err
+func runClusterSim(ctx context.Context, f *simFlags, qos string, w io.Writer) error {
+	if f.parallelism < 0 {
+		return f.reject("parallelism", "worker count must be non-negative")
 	}
 
 	var cfg cluster.SimConfig
 	var events [][]clworkload.Event
-	if o.replay != "" {
-		f, err := os.Open(o.replay)
+	if f.replay != "" {
+		file, err := os.Open(f.replay)
 		if err != nil {
 			return err
 		}
-		cfg, events, err = cluster.ReadTrace(f)
-		f.Close()
+		cfg, events, err = cluster.ReadTrace(file)
+		file.Close()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "replaying %s: %d machines over %g time units\n", o.replay, cfg.Workload.Machines, cfg.Workload.Horizon)
+		fmt.Fprintf(w, "replaying %s: %d machines over %g time units\n", f.replay, cfg.Workload.Machines, cfg.Workload.Horizon)
 	} else {
 		var err error
-		if cfg, err = o.simConfig(); err != nil {
+		if cfg, err = f.config(qos); err != nil {
 			return err
 		}
 		if events, err = cluster.GenerateEvents(cfg); err != nil {
@@ -308,23 +296,23 @@ func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
 		}
 	}
 
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
+	if f.traceOut != "" {
+		file, err := os.Create(f.traceOut)
 		if err != nil {
 			return err
 		}
-		err = cluster.WriteTrace(f, cfg, events)
-		if cerr := f.Close(); err == nil {
+		err = cluster.WriteTrace(file, cfg, events)
+		if cerr := file.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "trace recorded to %s\n", o.traceOut)
+		fmt.Fprintf(w, "trace recorded to %s\n", f.traceOut)
 	}
 
 	start := time.Now()
-	res, err := cluster.RunSim(ctx, cfg, events, o.parallelism)
+	res, err := cluster.RunSim(ctx, cfg, events, f.parallelism)
 	if err != nil {
 		return err
 	}
@@ -359,7 +347,7 @@ func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
 	// rerun with violation accounting held identical, so the summary
 	// carries a side-by-side.
 	if control, label, ok := cluster.ControlConfig(cfg); ok {
-		base, err := cluster.RunSim(ctx, control, events, o.parallelism)
+		base, err := cluster.RunSim(ctx, control, events, f.parallelism)
 		if err != nil {
 			return err
 		}
@@ -370,16 +358,16 @@ func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
 			res.MeanUtilization*100, base.MeanUtilization*100)
 	}
 
-	if o.summaryJSON != "" {
+	if f.summaryJSON != "" {
 		data, err := json.MarshalIndent(summary, "", "  ")
 		if err != nil {
 			return err
 		}
 		data = append(data, '\n')
-		if o.summaryJSON == "-" {
+		if f.summaryJSON == "-" {
 			_, err = w.Write(data)
 		} else {
-			err = os.WriteFile(o.summaryJSON, data, 0o644)
+			err = os.WriteFile(f.summaryJSON, data, 0o644)
 		}
 		if err != nil {
 			return err
@@ -388,45 +376,20 @@ func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
 	return nil
 }
 
-// simConfig assembles the synthetic-world simulation: analytic surrogate
-// curves as the first prediction tier, the seeded measured table as the
-// fallback, and the QoS surface precomputed once through that seam.
-func (o *simOptions) simConfig() (cluster.SimConfig, error) {
+// attachTables builds the prediction surface(s) through the full serving
+// seam — analytic surrogate curves as the first tier, the seeded measured
+// table as the fallback — for the homogeneous world or for every
+// -machine-mix generation.
+func (f *simFlags) attachTables(cfg *cluster.SimConfig) error {
 	const maxInst = simContexts - simThreads
-	arrival := o.arrival
-	if arrival == 0 {
-		arrival = 30 * float64(o.machines)
-	}
-	cfg := cluster.SimConfig{
-		Workload: clworkload.Config{
-			Machines: o.machines, Horizon: o.duration,
-			Lats: simLats, Batches: simBatches, Seed: o.seed,
-			ArrivalRate:  arrival,
-			MeanDuration: 0.05,
-			Diurnal:      0.4,
-			BurstProb:    0.1, BurstFactor: 2.5,
-			Drift: 0.2,
-			Churn: o.churn,
-		},
-		Shards:            o.shards,
-		Policy:            o.policyKind(),
-		SLO:               o.slo,
-		Drift:             o.driftSpec(),
-		Target:            o.target,
-		ThreadsPerServer:  simThreads,
-		ContextsPerServer: simContexts,
-		Alloc:             o.alloc,
-	}
-	if o.isolLevels != nil {
-		cfg.Isol = &cluster.IsolSimParams{Levels: o.isolLevels}
-	}
-	if len(o.mix) == 0 {
-		pt, err := o.predTable("", maxInst, o.parallelism)
-		if err != nil {
-			return cluster.SimConfig{}, err
-		}
+	if f.machineMix == "" {
+		pt, err := f.predTable("", maxInst)
 		cfg.Table = pt
-		return cfg, nil
+		return err
+	}
+	mix, err := parseMachineMix(f.machineMix)
+	if err != nil {
+		return err
 	}
 	// Heterogeneous fleet: each generation interferes on its own seeded
 	// degradation surface (same application populations, same table
@@ -435,15 +398,13 @@ func (o *simOptions) simConfig() (cluster.SimConfig, error) {
 	// roomier generations simply never fill their last contexts from the
 	// table's point of view.
 	depth := maxInst
-	for _, g := range o.mix {
-		if idle := g.contexts - g.threads; idle < depth {
-			depth = idle
-		}
+	for _, g := range mix {
+		depth = min(depth, g.contexts-g.threads)
 	}
-	for _, g := range o.mix {
-		pt, err := o.predTable(g.name, depth, o.parallelism)
+	for _, g := range mix {
+		pt, err := f.predTable(g.name, depth)
 		if err != nil {
-			return cluster.SimConfig{}, err
+			return err
 		}
 		cfg.MachineGens = append(cfg.MachineGens, cluster.MachineGenSpec{
 			Name: g.name, Count: g.count,
@@ -451,17 +412,16 @@ func (o *simOptions) simConfig() (cluster.SimConfig, error) {
 			Table: pt,
 		})
 	}
-	return cfg, nil
+	return nil
 }
 
-// predTable builds one generation's prediction surface through the full
-// serving seam: analytic surrogate curves as the first tier, the seeded
-// measured table as the fallback. An empty gen name is the homogeneous
-// world.
-func (o *simOptions) predTable(gen string, maxInst, parallelism int) (*cluster.PredTable, error) {
-	set, tbl, err := cluster.SyntheticGenWorld(gen, simLats, simBatches, maxInst, o.seed)
+// predTable builds one generation's prediction surface; an empty gen name
+// is the homogeneous world.
+func (f *simFlags) predTable(gen string, maxInst int) (*cluster.PredTable, error) {
+	seed := f.cfg.Workload.Seed
+	set, tbl, err := cluster.SyntheticGenWorld(gen, simLats, simBatches, maxInst, seed)
 	if gen == "" {
-		set, tbl, err = cluster.SyntheticWorld(simLats, simBatches, maxInst, o.seed)
+		set, tbl, err = cluster.SyntheticWorld(simLats, simBatches, maxInst, seed)
 	}
 	if err != nil {
 		return nil, err
@@ -470,15 +430,5 @@ func (o *simOptions) predTable(gen string, maxInst, parallelism int) (*cluster.P
 		&cluster.SurrogatePredictor{Set: set, Capacity: maxInst},
 		&cluster.TablePredictor{Table: tbl},
 	)
-	return cluster.BuildPredTable(context.Background(), tbl, nil, cluster.QoSAvg, pred, parallelism)
-}
-
-// driftSpec lifts the -drift-* flags into the simulator's injected shift
-// of the measured surface; nil (no -drift-factor) keeps the world
-// stationary.
-func (o *simOptions) driftSpec() *cluster.DriftSpec {
-	if o.driftFactor == 0 {
-		return nil
-	}
-	return &cluster.DriftSpec{At: o.driftAt, Factor: o.driftFactor}
+	return cluster.BuildPredTable(context.Background(), tbl, nil, cluster.QoSAvg, pred, f.parallelism)
 }

@@ -57,6 +57,14 @@ func TestSimFlagValidation(t *testing.T) {
 		{"zero mix weight", []string{"-sim", "-machine-mix", "snb=0"}, "machine-mix"},
 		{"mix with closedloop", []string{"-sim", "-policy", "closedloop", "-machine-mix", "snb=1"}, "machine-mix"},
 		{"mix with drift", []string{"-sim", "-machine-mix", "snb=1", "-drift-factor", "1.2"}, "machine-mix"},
+		{"NaN duration", []string{"-sim", "-machines", "20", "-duration", "NaN"}, "duration"},
+		{"infinite duration", []string{"-sim", "-machines", "20", "-duration", "Inf"}, "duration"},
+		{"NaN arrival", []string{"-sim", "-machines", "20", "-arrival", "NaN"}, "arrival"},
+		{"NaN target", []string{"-sim", "-machines", "20", "-target", "NaN"}, "target"},
+		{"NaN churn", []string{"-sim", "-machines", "20", "-churn", "NaN"}, "churn"},
+		{"infinite slo lambda", []string{"-sim", "-machines", "20", "-policy", "slo", "-slo-lambda", "Inf"}, "slo-lambda"},
+		{"machine mix count overflow", []string{"-sim", "-machines", "20", "-machine-mix",
+			"snb=4611686018427387904,ivb=4611686018427387904,power7=4611686018427387904,smt4=4611686018427387904"}, "machine-mix"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,6 +79,9 @@ func TestSimFlagValidation(t *testing.T) {
 			}
 			if fe.Flag != tc.flag {
 				t.Errorf("error names flag %q, want %q", fe.Flag, tc.flag)
+			}
+			if out.Len() != 0 {
+				t.Errorf("rejected invocation reported a run:\n%s", out.String())
 			}
 		})
 	}

@@ -158,7 +158,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	if cfg.parallelism < 0 {
 		return cfg, fmt.Errorf("-parallelism must be non-negative, got %d", cfg.parallelism)
 	}
-	if cfg.surThreshold < 0 {
+	if !(cfg.surThreshold >= 0) {
 		return cfg, fmt.Errorf("-surrogate-threshold must be non-negative, got %g", cfg.surThreshold)
 	}
 	if cfg.surThreshold > 0 && cfg.surrogate == "" {

@@ -87,6 +87,7 @@ func TestFlagValidation(t *testing.T) {
 		{"missing model file", []string{"-profiles", profiles, "-model", filepath.Join(dir, "nope.json")}, "opening model"},
 		{"corrupt model file", []string{"-profiles", profiles, "-model", garbage}, "loading model"},
 		{"negative surrogate threshold", []string{"-surrogate", garbage, "-surrogate-threshold", "-0.1"}, "-surrogate-threshold must be non-negative"},
+		{"NaN surrogate threshold", []string{"-surrogate", garbage, "-surrogate-threshold", "NaN"}, "-surrogate-threshold must be non-negative"},
 		{"surrogate threshold without file", []string{"-profiles", profiles, "-surrogate-threshold", "0.1"}, "no -surrogate file"},
 		{"missing surrogate file", []string{"-profiles", profiles, "-surrogate", filepath.Join(dir, "nope.json")}, "loading surrogate"},
 		{"corrupt surrogate file", []string{"-profiles", profiles, "-surrogate", garbage}, "loading surrogate"},

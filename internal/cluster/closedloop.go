@@ -42,15 +42,15 @@ func (d *DriftSpec) Validate(nBatch int) error {
 	if d == nil {
 		return nil
 	}
-	if math.IsNaN(d.At) || math.IsInf(d.At, 0) || d.At < 0 {
-		return fmt.Errorf("cluster: drift time %g must be non-negative and finite", d.At)
+	if !(d.At >= 0) || math.IsInf(d.At, 0) {
+		return fieldError("at", "drift time %g must be non-negative and finite", d.At)
 	}
 	if !(d.Factor > 0) || math.IsInf(d.Factor, 0) {
-		return fmt.Errorf("cluster: drift factor %g must be positive and finite", d.Factor)
+		return fieldError("factor", "drift factor %g must be positive and finite", d.Factor)
 	}
-	for _, b := range d.Batches {
+	for i, b := range d.Batches {
 		if b < 0 || b >= nBatch {
-			return fmt.Errorf("cluster: drift batch %d outside [0,%d)", b, nBatch)
+			return fieldError(fmt.Sprintf("batches[%d]", i), "drift batch %d outside [0,%d)", b, nBatch)
 		}
 	}
 	return nil

@@ -73,12 +73,12 @@ func (p *IsolSimParams) withDefaults() *IsolSimParams {
 // Validate rejects ladders the policy cannot actuate.
 func (p *IsolSimParams) Validate() error {
 	if p == nil {
-		return fmt.Errorf("cluster: isolation policy needs isolation parameters")
+		return fieldError("isolation", "isolation policy needs isolation parameters")
 	}
 	if len(p.Levels) > math.MaxInt16 {
-		return fmt.Errorf("cluster: %d isolation levels exceed %d", len(p.Levels), math.MaxInt16)
+		return fieldError("levels", "%d isolation levels exceed %d", len(p.Levels), math.MaxInt16)
 	}
-	return isol.ValidateSettings(p.Levels)
+	return nested("levels", isol.ValidateSettings(p.Levels))
 }
 
 // AllocPolicy is one pluggable thread-to-core allocation policy: a scoring

@@ -69,6 +69,12 @@ func policyOf(k PolicyKind) (spec policySpec, ok bool) {
 	return policySpec{}, false
 }
 
+// NeedsSLO reports whether policy k requires SimConfig.SLO.
+func (k PolicyKind) NeedsSLO() bool {
+	spec, _ := policyOf(k)
+	return spec.needsSLO
+}
+
 // ControlConfig returns the control run clustersim compares cfg's policy
 // against — the same config under the greedy QoS floor for PolicySLO, or
 // under the static SLO gate for PolicyClosedLoop and PolicyIsolation, so

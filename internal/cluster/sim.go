@@ -112,61 +112,87 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
-// Validate rejects configurations RunSim cannot execute.
+// ConfigError is the typed error every SimConfig validator returns. Its
+// Field is the SimConfig JSON path ("workload.horizon", "drift.at",
+// "slo.classes[0].mu", "machine_gens[2].count"), so a front end can map
+// a rejection back onto whatever set the field.
+type ConfigError = clworkload.ConfigError
+
+func fieldError(field, format string, a ...any) error {
+	return &ConfigError{Field: field, Reason: fmt.Sprintf(format, a...)}
+}
+
+// nested files a sub-validator's rejection (nil stays nil) under field:
+// a ConfigError's path gains the prefix, any other error becomes the Err
+// of a ConfigError on field itself.
+func nested(field string, err error) error {
+	if err == nil {
+		return nil
+	}
+	if ce, ok := err.(*ConfigError); ok {
+		return &ConfigError{Field: field + "." + ce.Field, Reason: ce.Reason, Err: ce.Err}
+	}
+	return &ConfigError{Field: field, Reason: err.Error(), Err: err}
+}
+
+// Validate rejects configurations RunSim cannot execute. It is the one
+// rulebook for a cluster run: every range and compatibility rule lives
+// here or in the validators it calls, and every rejection is a
+// *ConfigError naming the field.
 func (c SimConfig) Validate() error {
 	c = c.withDefaults()
-	if err := c.Workload.Validate(); err != nil {
+	if err := nested("workload", c.Workload.Validate()); err != nil {
 		return err
 	}
 	// simMachine and Placement narrow app, generation, instance and level
 	// indices to int16.
-	if n := max(c.Workload.Lats, c.Workload.Batches, len(c.MachineGens)); n > math.MaxInt16 {
-		return fmt.Errorf("cluster: %d applications or machine generations exceed %d", n, math.MaxInt16)
+	if n := max(c.Workload.Lats, c.Workload.Batches); n > math.MaxInt16 {
+		return fieldError("workload", "%d applications exceed %d", n, math.MaxInt16)
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("cluster: sim shards must be non-negative, got %d", c.Shards)
+		return fieldError("shards", "must be non-negative, got %d", c.Shards)
 	}
 	spec, ok := policyOf(c.Policy)
 	if !ok {
-		return fmt.Errorf("cluster: unknown policy %d", int(c.Policy))
+		return fieldError("policy", "unknown policy %d", int(c.Policy))
 	}
 	if spec.needsSLO && c.SLO == nil {
-		return fmt.Errorf("cluster: policy %s needs SLO parameters", c.Policy)
+		return fieldError("slo", "policy %s needs SLO parameters", c.Policy)
 	}
 	if spec.ladder {
-		if err := c.Isol.Validate(); err != nil {
+		if err := nested("isolation", c.Isol.Validate()); err != nil {
 			return err
 		}
 		if c.Drift != nil {
-			return fmt.Errorf("cluster: policy %s does not compose with drift injection", c.Policy)
+			return fieldError("drift", "policy %s does not compose with drift injection", c.Policy)
 		}
 	} else if c.Isol != nil {
-		return fmt.Errorf("cluster: isolation parameters need policy %s, got %s", PolicyIsolation, c.Policy)
+		return fieldError("isolation", "isolation parameters need policy %s, got %s", PolicyIsolation, c.Policy)
 	}
 	if c.Alloc != "" {
 		if _, err := AllocPolicyByName(c.Alloc); err != nil {
-			return err
+			return nested("alloc", err)
 		}
 		if !spec.scans {
-			return fmt.Errorf("cluster: alloc policy %q has no effect under policy %s", c.Alloc, c.Policy)
+			return fieldError("alloc", "alloc policy %q has no effect under policy %s", c.Alloc, c.Policy)
 		}
 	}
-	if err := c.Drift.Validate(c.Workload.Batches); err != nil {
+	if err := nested("drift", c.Drift.Validate(c.Workload.Batches)); err != nil {
 		return err
 	}
 	if c.SLO != nil {
-		if err := c.SLO.Validate(); err != nil {
+		if err := nested("slo", c.SLO.Validate()); err != nil {
 			return err
 		}
 	}
-	if c.Target <= 0 || c.Target > 1 {
-		return fmt.Errorf("cluster: QoS target %.3f outside (0,1]", c.Target)
+	if !(c.Target > 0 && c.Target <= 1) {
+		return fieldError("target", "QoS target %g outside (0,1]", c.Target)
 	}
 	if c.ThreadsPerServer <= 0 || c.ContextsPerServer <= 0 {
-		return fmt.Errorf("cluster: server geometry must be positive")
+		return fieldError("threads_per_server", "server geometry must be positive")
 	}
 	if c.ThreadsPerServer >= c.ContextsPerServer {
-		return fmt.Errorf("cluster: %d threads leave no idle context of %d", c.ThreadsPerServer, c.ContextsPerServer)
+		return fieldError("contexts_per_server", "%d threads leave no idle context of %d", c.ThreadsPerServer, c.ContextsPerServer)
 	}
 	return c.validateFleet(spec)
 }
@@ -175,69 +201,70 @@ func (c SimConfig) Validate() error {
 // against the workload and policy — the homogeneous single-table fleet and
 // the heterogeneous MachineGens fleet share every per-table rule.
 func (c *SimConfig) validateFleet(spec policySpec) error {
-	checkTable := func(scope string, t *PredTable, threads, contexts int) error {
-		wrap := func(err error) error {
-			if scope == "" {
-				return err
-			}
-			return fmt.Errorf("cluster: %s: %w", scope, err)
-		}
-		if err := t.Validate(); err != nil {
-			return wrap(err)
+	checkTable := func(field string, t *PredTable, threads, contexts int) error {
+		if err := nested(field, t.Validate()); err != nil {
+			return err
 		}
 		if c.SLO != nil && !t.HasDegradations() {
-			return wrap(fmt.Errorf("cluster: SLO-gated run needs a table with the degradation surface (rebuild with BuildPredTable)"))
+			return fieldError(field, "SLO-gated run needs a table with the degradation surface (rebuild with BuildPredTable)")
 		}
 		if len(t.LatencyApps) != c.Workload.Lats || len(t.BatchApps) != c.Workload.Batches {
-			return wrap(fmt.Errorf("cluster: table is %d×%d apps but workload generates %d×%d",
-				len(t.LatencyApps), len(t.BatchApps), c.Workload.Lats, c.Workload.Batches))
+			return fieldError(field, "table is %d×%d apps but workload generates %d×%d",
+				len(t.LatencyApps), len(t.BatchApps), c.Workload.Lats, c.Workload.Batches)
 		}
 		if t.MaxInstances > min(contexts-threads, math.MaxInt16) {
-			return wrap(fmt.Errorf("cluster: %d instances exceed %d idle contexts or %d",
-				t.MaxInstances, contexts-threads, math.MaxInt16))
+			return fieldError(field+".max_instances", "%d instances exceed %d idle contexts or %d",
+				t.MaxInstances, contexts-threads, math.MaxInt16)
 		}
 		return nil
 	}
 	if len(c.MachineGens) == 0 {
-		return checkTable("", c.Table, c.ThreadsPerServer, c.ContextsPerServer)
+		return checkTable("table", c.Table, c.ThreadsPerServer, c.ContextsPerServer)
 	}
 	if c.Table != nil {
-		return fmt.Errorf("cluster: machine generations carry their own tables; leave Table nil")
+		return fieldError("table", "machine generations carry their own tables; leave Table nil")
 	}
 	if !spec.mixedFleet {
-		return fmt.Errorf("cluster: policy %s does not support heterogeneous machine generations yet", c.Policy)
+		return fieldError("machine_gens", "policy %s does not support heterogeneous machine generations yet", c.Policy)
 	}
 	if c.Drift != nil {
-		return fmt.Errorf("cluster: drift injection does not support heterogeneous machine generations yet")
+		return fieldError("machine_gens", "drift injection does not support heterogeneous machine generations yet")
+	}
+	if len(c.MachineGens) > math.MaxInt16 {
+		return fieldError("machine_gens", "%d machine generations exceed %d", len(c.MachineGens), math.MaxInt16)
 	}
 	ref := c.MachineGens[0].Table
 	seen := make(map[string]bool, len(c.MachineGens))
+	// shardSim.genOf deals machine ids round-robin over ΣCount slots, so
+	// the sum must stay far from wrapping.
+	total := 0
 	for i, g := range c.MachineGens {
+		field := fmt.Sprintf("machine_gens[%d]", i)
 		if g.Name == "" {
-			return fmt.Errorf("cluster: machine generation %d has no name", i)
+			return fieldError(field+".name", "machine generation %d has no name", i)
 		}
 		if seen[g.Name] {
-			return fmt.Errorf("cluster: duplicate machine generation %q", g.Name)
+			return fieldError(field+".name", "duplicate machine generation %q", g.Name)
 		}
 		seen[g.Name] = true
-		if g.Count <= 0 {
-			return fmt.Errorf("cluster: machine generation %q count %d must be positive", g.Name, g.Count)
+		if g.Count <= 0 || g.Count > math.MaxInt32-total {
+			return fieldError(field+".count", "machine generation %q count %d must be positive and keep the counts' sum within %d",
+				g.Name, g.Count, math.MaxInt32)
 		}
+		total += g.Count
 		threads, contexts := g.geometry(c)
 		if threads <= 0 || contexts <= 0 || threads >= contexts {
-			return fmt.Errorf("cluster: machine generation %q geometry %d/%d leaves no idle context", g.Name, threads, contexts)
+			return fieldError(field, "machine generation %q geometry %d/%d leaves no idle context", g.Name, threads, contexts)
 		}
-		if err := checkTable(fmt.Sprintf("machine generation %q", g.Name), g.Table, threads, contexts); err != nil {
+		if err := checkTable(field+".table", g.Table, threads, contexts); err != nil {
 			return err
 		}
-		if ref != nil && g.Table != nil {
-			if len(g.Table.LatencyApps) != len(ref.LatencyApps) ||
-				len(g.Table.BatchApps) != len(ref.BatchApps) ||
-				g.Table.MaxInstances != ref.MaxInstances ||
-				g.Table.QoS != ref.QoS {
-				return fmt.Errorf("cluster: machine generation %q table shape differs from %q (generations must share populations, MaxInstances, and QoS kind)",
-					g.Name, c.MachineGens[0].Name)
-			}
+		if t := g.Table; len(t.LatencyApps) != len(ref.LatencyApps) ||
+			len(t.BatchApps) != len(ref.BatchApps) ||
+			t.MaxInstances != ref.MaxInstances ||
+			t.QoS != ref.QoS {
+			return fieldError(field+".table", "machine generation %q table shape differs from %q (generations must share populations, MaxInstances, and QoS kind)",
+				g.Name, c.MachineGens[0].Name)
 		}
 	}
 	return nil

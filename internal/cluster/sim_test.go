@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -494,5 +495,45 @@ func TestSimDegenerateWorlds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestValidateNonFinite: SimConfig.Validate rejects NaN and ±Inf in every
+// float a cluster run reads with a *ConfigError naming the field's JSON
+// path, and GenerateEvents fails on them instead of looping on a clock
+// that never advances.
+func TestValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		mut   func(c *SimConfig)
+	}{
+		{"workload.horizon", func(c *SimConfig) { c.Workload.Horizon = nan }},
+		{"workload.horizon", func(c *SimConfig) { c.Workload.Horizon = inf }},
+		{"workload.arrival_rate", func(c *SimConfig) { c.Workload.ArrivalRate = nan }},
+		{"workload.arrival_rate", func(c *SimConfig) { c.Workload.ArrivalRate = inf }},
+		{"workload.mean_duration", func(c *SimConfig) { c.Workload.MeanDuration = inf }},
+		{"workload.window", func(c *SimConfig) { c.Workload.Window = nan }},
+		{"workload.churn", func(c *SimConfig) { c.Workload.Churn = nan }},
+		{"workload.churn", func(c *SimConfig) { c.Workload.Churn = -inf }},
+		{"target", func(c *SimConfig) { c.Target = nan }},
+		{"drift.at", func(c *SimConfig) { c.Drift = &DriftSpec{At: inf, Factor: 2} }},
+		{"drift.factor", func(c *SimConfig) { c.Drift = &DriftSpec{At: 0.5, Factor: nan} }},
+		{"slo.headroom", func(c *SimConfig) { c.SLO.Headroom = nan }},
+		{"slo.classes[1].mu", func(c *SimConfig) { c.SLO.Classes[1].Mu = nan }},
+		{"slo.classes[2].lambda", func(c *SimConfig) { c.SLO.Classes[2].Lambda = inf }},
+	}
+	base := synthSimConfig(t, 20, 1, 5)
+	for _, tc := range cases {
+		cfg := base
+		cfg.Policy, cfg.SLO = PolicySLO, sloSimParams()
+		tc.mut(&cfg)
+		var ce *ConfigError
+		if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%s: Validate = %v, want a *ConfigError on that field", tc.field, err)
+		}
+		if _, err := GenerateEvents(cfg); err == nil {
+			t.Errorf("%s: GenerateEvents accepted the config", tc.field)
+		}
 	}
 }

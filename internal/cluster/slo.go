@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/queueing"
 	"repro/internal/slo"
@@ -45,17 +46,27 @@ type SLOSimParams struct {
 // Validate rejects parameter sets the gate cannot evaluate.
 func (p *SLOSimParams) Validate() error {
 	if p == nil {
-		return fmt.Errorf("cluster: SLO policy needs SLO parameters")
+		return fieldError("slo", "SLO policy needs SLO parameters")
+	}
+	if err := slo.CheckHeadroom(p.Headroom); err != nil {
+		return nested("headroom", err)
 	}
 	classes := make([]slo.SLOClass, len(p.Classes))
 	for i, cl := range p.Classes {
-		if !(cl.Mu > 0 && cl.Lambda > 0) {
-			return fmt.Errorf("cluster: SLO class %q queue rates must be positive (mu=%g, lambda=%g)",
-				cl.Name, cl.Mu, cl.Lambda)
+		if !(cl.Mu > 0) || math.IsInf(cl.Mu, 0) {
+			return fieldError(fmt.Sprintf("classes[%d].mu", i), "SLO class %q service rate %g must be positive and finite", cl.Name, cl.Mu)
+		}
+		if !(cl.Lambda > 0) || math.IsInf(cl.Lambda, 0) {
+			return fieldError(fmt.Sprintf("classes[%d].lambda", i), "SLO class %q arrival rate %g must be positive and finite", cl.Name, cl.Lambda)
 		}
 		classes[i] = cl.Class()
 	}
-	return slo.Validate(classes, p.Headroom, p.ScaleUpThreshold, p.ScaleDownThreshold)
+	// At zero headroom and default thresholds slo.Validate judges the
+	// class set alone; the second call can then only fail on thresholds.
+	if err := slo.Validate(classes, 0, 0, 0); err != nil {
+		return nested("classes", err)
+	}
+	return nested("scale_up_threshold", slo.Validate(classes, p.Headroom, p.ScaleUpThreshold, p.ScaleDownThreshold))
 }
 
 // Class is the admission class the gate checks c against.

@@ -121,7 +121,7 @@ func ReadTrace(r io.Reader) (SimConfig, [][]clworkload.Event, error) {
 	}
 	cfg := hdr.Config.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return SimConfig{}, nil, fmt.Errorf("%w: config: %v", ErrTraceCorrupt, err)
+		return SimConfig{}, nil, fmt.Errorf("%w: config: %w", ErrTraceCorrupt, err)
 	}
 	if cfg.Shards > maxTraceShards {
 		return SimConfig{}, nil, fmt.Errorf("%w: %d shards exceed the reader's limit of %d", ErrTraceCorrupt, cfg.Shards, maxTraceShards)

@@ -371,3 +371,42 @@ func TestInt16IndexBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineGenCountBounds: generation counts whose sum would wrap fail
+// Validate and ReadTrace instead of dividing by zero when RunSim maps
+// machines onto generations (four counts of 2^62 sum to 0 mod 2^64).
+func TestMachineGenCountBounds(t *testing.T) {
+	gens := func(counts ...int) SimConfig {
+		cfg := synthGenConfig(t, 4, 1, 5)
+		g := cfg.MachineGens[0]
+		cfg.MachineGens = nil
+		for i, n := range counts {
+			g.Name, g.Count = fmt.Sprintf("g%d", i), n
+			cfg.MachineGens = append(cfg.MachineGens, g)
+		}
+		return cfg
+	}
+	for _, tc := range []struct {
+		cfg   SimConfig
+		field string
+	}{
+		{gens(1<<62, 1<<62, 1<<62, 1<<62), "machine_gens[0].count"},
+		{gens(math.MaxInt32, 1), "machine_gens[1].count"},
+	} {
+		var ce *ConfigError
+		if err := tc.cfg.Validate(); !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("Validate = %v, want a *ConfigError on %s", err, tc.field)
+		}
+		var trace bytes.Buffer
+		if err := json.NewEncoder(&trace).Encode(traceHeader{Format: TraceFormat, Version: TraceVersion, Config: tc.cfg}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := ReadTrace(&trace)
+		if !errors.Is(err, ErrTraceCorrupt) || !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("ReadTrace = %v, want ErrTraceCorrupt wrapping a *ConfigError on %s", err, tc.field)
+		}
+		if _, err := RunSim(context.Background(), tc.cfg, make([][]clworkload.Event, tc.cfg.Shards), 1); err == nil {
+			t.Errorf("RunSim accepted generation counts %d…", tc.cfg.MachineGens[0].Count)
+		}
+	}
+}

@@ -119,38 +119,72 @@ type Config struct {
 	Churn float64 `json:"churn,omitempty"`
 }
 
+// ConfigError is the typed validation error of a cluster-run
+// configuration (cluster.ConfigError is the same type): Field is the
+// offending field's JSON path, Err the underlying validator's error, if
+// any.
+type ConfigError struct {
+	Field  string
+	Reason string
+	Err    error
+}
+
+func (e *ConfigError) Error() string { return e.Field + ": " + e.Reason }
+
+// Unwrap exposes the underlying validator's error to errors.Is/As.
+func (e *ConfigError) Unwrap() error { return e.Err }
+
+func fieldError(field, format string, a ...any) error {
+	return &ConfigError{Field: field, Reason: fmt.Sprintf(format, a...)}
+}
+
 // Validate rejects configurations Generate cannot honour. Degenerate
 // worlds are legal: zero machines and/or a zero arrival rate produce an
 // empty (or churn-only) stream, which the simulator and trace codec
 // round-trip to an empty placement log. Horizon stays strictly positive
 // even then — the window length is derived from it, and a zero horizon
-// would poison the per-window rate math with NaNs.
+// would poison the per-window rate math with NaNs. Every float must be
+// finite: a NaN or infinite rate never advances the generator's clock.
 func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		field string
+		x     float64
+	}{
+		{"horizon", c.Horizon}, {"arrival_rate", c.ArrivalRate}, {"mean_duration", c.MeanDuration},
+		{"diurnal", c.Diurnal}, {"period", c.Period}, {"burst_prob", c.BurstProb},
+		{"burst_factor", c.BurstFactor}, {"window", c.Window}, {"drift", c.Drift}, {"churn", c.Churn},
+	} {
+		if math.IsNaN(f.x) || math.IsInf(f.x, 0) {
+			return fieldError(f.field, "must be finite, got %g", f.x)
+		}
+	}
 	switch {
 	case c.Machines < 0:
-		return fmt.Errorf("workload: Machines must be non-negative, got %d", c.Machines)
+		return fieldError("machines", "must be non-negative, got %d", c.Machines)
 	case c.Horizon <= 0:
-		return fmt.Errorf("workload: Horizon must be positive, got %g", c.Horizon)
-	case c.Lats <= 0 || c.Batches <= 0:
-		return fmt.Errorf("workload: need positive application counts, got %d lats, %d batches", c.Lats, c.Batches)
+		return fieldError("horizon", "must be positive, got %g", c.Horizon)
+	case c.Lats <= 0:
+		return fieldError("lats", "need a positive application count, got %d", c.Lats)
+	case c.Batches <= 0:
+		return fieldError("batches", "need a positive application count, got %d", c.Batches)
 	case c.ArrivalRate < 0:
-		return fmt.Errorf("workload: ArrivalRate must be non-negative, got %g", c.ArrivalRate)
+		return fieldError("arrival_rate", "must be non-negative, got %g", c.ArrivalRate)
 	case c.ArrivalRate > 0 && c.MeanDuration <= 0:
-		return fmt.Errorf("workload: MeanDuration must be positive with arrivals enabled, got %g", c.MeanDuration)
+		return fieldError("mean_duration", "must be positive with arrivals enabled, got %g", c.MeanDuration)
 	case c.Diurnal < 0 || c.Diurnal >= 1:
-		return fmt.Errorf("workload: Diurnal must be in [0, 1), got %g", c.Diurnal)
+		return fieldError("diurnal", "must be in [0, 1), got %g", c.Diurnal)
 	case c.Period < 0:
-		return fmt.Errorf("workload: Period must be non-negative, got %g", c.Period)
+		return fieldError("period", "must be non-negative, got %g", c.Period)
 	case c.BurstProb < 0 || c.BurstProb > 1:
-		return fmt.Errorf("workload: BurstProb must be in [0, 1], got %g", c.BurstProb)
+		return fieldError("burst_prob", "must be in [0, 1], got %g", c.BurstProb)
 	case c.BurstProb > 0 && c.BurstFactor <= 1:
-		return fmt.Errorf("workload: BurstFactor must exceed 1 with bursts enabled, got %g", c.BurstFactor)
+		return fieldError("burst_factor", "must exceed 1 with bursts enabled, got %g", c.BurstFactor)
 	case c.Window < 0:
-		return fmt.Errorf("workload: Window must be non-negative, got %g", c.Window)
+		return fieldError("window", "must be non-negative, got %g", c.Window)
 	case c.Drift < 0:
-		return fmt.Errorf("workload: Drift must be non-negative, got %g", c.Drift)
+		return fieldError("drift", "must be non-negative, got %g", c.Drift)
 	case c.Churn < 0:
-		return fmt.Errorf("workload: Churn must be non-negative, got %g", c.Churn)
+		return fieldError("churn", "must be non-negative, got %g", c.Churn)
 	}
 	return nil
 }

@@ -157,18 +157,18 @@ func TestValidate(t *testing.T) {
 		mut  func(*Config)
 		frag string
 	}{
-		{"machines", func(c *Config) { c.Machines = -1 }, "Machines"},
+		{"machines", func(c *Config) { c.Machines = -1 }, "machines"},
 		// Horizon = 0 must stay rejected even for otherwise-degenerate
 		// worlds: the window length derives from it, and a zero horizon
 		// turns the per-window rates into NaNs.
-		{"horizon", func(c *Config) { c.Horizon = 0 }, "Horizon"},
-		{"apps", func(c *Config) { c.Batches = 0 }, "application counts"},
-		{"arrival", func(c *Config) { c.ArrivalRate = -1 }, "ArrivalRate"},
-		{"duration", func(c *Config) { c.MeanDuration = 0 }, "MeanDuration"},
-		{"diurnal", func(c *Config) { c.Diurnal = 1 }, "Diurnal"},
-		{"burst", func(c *Config) { c.BurstProb = 0.5 }, "BurstFactor"},
-		{"drift", func(c *Config) { c.Drift = -0.1 }, "Drift"},
-		{"churn", func(c *Config) { c.Churn = -1 }, "Churn"},
+		{"horizon", func(c *Config) { c.Horizon = 0 }, "horizon"},
+		{"apps", func(c *Config) { c.Batches = 0 }, "batches"},
+		{"arrival", func(c *Config) { c.ArrivalRate = -1 }, "arrival_rate"},
+		{"duration", func(c *Config) { c.MeanDuration = 0 }, "mean_duration"},
+		{"diurnal", func(c *Config) { c.Diurnal = 1 }, "diurnal"},
+		{"burst", func(c *Config) { c.BurstProb = 0.5 }, "burst_factor"},
+		{"drift", func(c *Config) { c.Drift = -0.1 }, "drift"},
+		{"churn", func(c *Config) { c.Churn = -1 }, "churn"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
