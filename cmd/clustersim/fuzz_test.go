@@ -100,8 +100,8 @@ func FuzzSimFlags(f *testing.F) {
 			t.Fatalf("resolved config fails Validate: %v", err)
 		}
 		w := cfg.Workload
-		floats := []float64{w.Horizon, w.ArrivalRate, w.MeanDuration, w.Diurnal, w.Period, w.BurstProb,
-			w.BurstFactor, w.Window, w.Drift, w.Churn, cfg.Target}
+		floats := []float64{w.Horizon, w.ArrivalRate, w.MeanDuration, w.Diurnal, w.BurstProb,
+			w.BurstFactor, w.Drift, w.Churn, cfg.Target}
 		if d := cfg.Drift; d != nil {
 			floats = append(floats, d.At, d.Factor)
 		}

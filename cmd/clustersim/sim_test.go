@@ -62,6 +62,9 @@ func TestSimFlagValidation(t *testing.T) {
 		{"NaN arrival", []string{"-sim", "-machines", "20", "-arrival", "NaN"}, "arrival"},
 		{"NaN target", []string{"-sim", "-machines", "20", "-target", "NaN"}, "target"},
 		{"NaN churn", []string{"-sim", "-machines", "20", "-churn", "NaN"}, "churn"},
+		// 1e9 time units of 600 jobs each would be 6e11 events: the run is
+		// refused before any is generated.
+		{"event cap", []string{"-sim", "-machines", "20", "-duration", "1e9"}, "duration"},
 		{"infinite slo lambda", []string{"-sim", "-machines", "20", "-policy", "slo", "-slo-lambda", "Inf"}, "slo-lambda"},
 		{"machine mix count overflow", []string{"-sim", "-machines", "20", "-machine-mix",
 			"snb=4611686018427387904,ivb=4611686018427387904,power7=4611686018427387904,smt4=4611686018427387904"}, "machine-mix"},

@@ -513,7 +513,7 @@ func TestValidateNonFinite(t *testing.T) {
 		{"workload.arrival_rate", func(c *SimConfig) { c.Workload.ArrivalRate = nan }},
 		{"workload.arrival_rate", func(c *SimConfig) { c.Workload.ArrivalRate = inf }},
 		{"workload.mean_duration", func(c *SimConfig) { c.Workload.MeanDuration = inf }},
-		{"workload.window", func(c *SimConfig) { c.Workload.Window = nan }},
+		{"workload.diurnal", func(c *SimConfig) { c.Workload.Diurnal = nan }},
 		{"workload.churn", func(c *SimConfig) { c.Workload.Churn = nan }},
 		{"workload.churn", func(c *SimConfig) { c.Workload.Churn = -inf }},
 		{"target", func(c *SimConfig) { c.Target = nan }},

@@ -37,10 +37,6 @@ type SLOSimParams struct {
 	// Headroom shrinks every budget to Budget·(1−Headroom) for admission
 	// (violation accounting uses the full budget).
 	Headroom float64 `json:"headroom"`
-	// ScaleUpThreshold / ScaleDownThreshold parameterise the Summary's
-	// saturation signal; zero picks slo's defaults.
-	ScaleUpThreshold   float64 `json:"scale_up_threshold,omitempty"`
-	ScaleDownThreshold float64 `json:"scale_down_threshold,omitempty"`
 }
 
 // Validate rejects parameter sets the gate cannot evaluate.
@@ -61,12 +57,9 @@ func (p *SLOSimParams) Validate() error {
 		}
 		classes[i] = cl.Class()
 	}
-	// At zero headroom and default thresholds slo.Validate judges the
-	// class set alone; the second call can then only fail on thresholds.
-	if err := slo.Validate(classes, 0, 0, 0); err != nil {
-		return nested("classes", err)
-	}
-	return nested("scale_up_threshold", slo.Validate(classes, p.Headroom, p.ScaleUpThreshold, p.ScaleDownThreshold))
+	// The headroom passed CheckHeadroom above, so slo.Validate judges the
+	// class set alone.
+	return nested("classes", slo.Validate(classes, p.Headroom))
 }
 
 // Class is the admission class the gate checks c against.

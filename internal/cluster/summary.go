@@ -136,17 +136,12 @@ func (r SimResult) Summary() Summary {
 	s.Utilization.Peak = r.PeakUtilization
 	s.SLO.Violations = r.Violations
 	s.SLO.ViolationFrac = r.ViolationFrac
-	var up, down float64
-	if r.SLOParams != nil {
-		up, down = r.SLOParams.ScaleUpThreshold, r.SLOParams.ScaleDownThreshold
-	}
-	up, down = slo.Thresholds(up, down)
 	if r.Arrived > 0 {
 		s.Saturation.RejectionFrac = float64(r.Rejected) / float64(r.Arrived)
 	}
-	s.Saturation.Signal = slo.SaturationSignal(s.Saturation.RejectionFrac, up, down)
-	s.Saturation.ScaleUpThreshold = up
-	s.Saturation.ScaleDownThreshold = down
+	s.Saturation.Signal = slo.SaturationSignal(s.Saturation.RejectionFrac)
+	s.Saturation.ScaleUpThreshold = slo.DefaultScaleUpThreshold
+	s.Saturation.ScaleDownThreshold = slo.DefaultScaleDownThreshold
 	if r.Policy == PolicyClosedLoop {
 		s.ClosedLoop = &ClosedLoopSummary{
 			Detections:       r.Detections,

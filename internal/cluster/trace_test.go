@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -36,6 +37,48 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(rec.Bytes(), rerec.Bytes()) {
 		t.Fatal("re-recorded trace differs from original bytes")
+	}
+}
+
+// withLegacyKeys adds to a v1 trace header the settings earlier builds
+// wrote: the workload's window and diurnal period and the SLO saturation
+// thresholds, as a hand-written or older trace can carry them.
+func withLegacyKeys(tb testing.TB, trace []byte) []byte {
+	tb.Helper()
+	out := bytes.Replace(trace, []byte(`"workload":{`), []byte(`"workload":{"window":0.01,"period":0.5,`), 1)
+	out = bytes.Replace(out, []byte(`"slo":{`), []byte(`"slo":{"scale_up_threshold":0.3,"scale_down_threshold":0.1,`), 1)
+	if bytes.Count(out, []byte(`"window":0.01`)) != 1 || bytes.Count(out, []byte(`"scale_up_threshold":0.3`)) != 1 {
+		tb.Fatal("legacy keys did not land in the trace header")
+	}
+	return out
+}
+
+// TestTraceLegacyKeysIgnored: a v1 header carrying window, period and
+// threshold keys still replays to the same events and the same placement
+// log as the trace without them; the reader ignores the keys.
+func TestTraceLegacyKeysIgnored(t *testing.T) {
+	trace := fuzzSeedTrace(t, PolicySLO)
+	replay := func(data []byte) ([][]clworkload.Event, uint64) {
+		cfg, events, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSim(context.Background(), cfg, events, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Placed == 0 {
+			t.Fatal("replay placed nothing; the comparison would be vacuous")
+		}
+		return events, hashLog(res.Log())
+	}
+	events, hash := replay(trace)
+	legacyEvents, legacyHash := replay(withLegacyKeys(t, trace))
+	if !reflect.DeepEqual(events, legacyEvents) {
+		t.Error("legacy header keys changed the replayed events")
+	}
+	if hash != legacyHash {
+		t.Errorf("legacy header keys changed the placement log: hash %x, want %x", legacyHash, hash)
 	}
 }
 
@@ -279,6 +322,7 @@ func fuzzSeedTrace(tb testing.TB, policy PolicyKind) []byte {
 func FuzzReadTrace(f *testing.F) {
 	f.Add(fuzzSeedTrace(f, PolicySMiTe))
 	f.Add(fuzzSeedTrace(f, PolicyClosedLoop))
+	f.Add(withLegacyKeys(f, fuzzSeedTrace(f, PolicySLO)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, events, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {

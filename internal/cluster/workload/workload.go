@@ -90,23 +90,17 @@ type Config struct {
 	MeanDuration float64 `json:"mean_duration"`
 
 	// Diurnal is the relative amplitude in [0, 1) of a sinusoidal rate
-	// modulation with period Period: rate(t) scales by
-	// 1 + Diurnal·sin(2πt/Period). Zero disables it.
+	// modulation with period Horizon: rate(t) scales by
+	// 1 + Diurnal·sin(2πt/Horizon). Zero disables it.
 	Diurnal float64 `json:"diurnal,omitempty"`
-	// Period is the diurnal period; defaults to Horizon when zero and
-	// Diurnal is set.
-	Period float64 `json:"period,omitempty"`
 
-	// BurstProb is the probability that a window is bursty, multiplying
-	// its arrival rate by BurstFactor. Zero disables bursts.
+	// BurstProb is the probability that a window (one of 24 equal slices
+	// of Horizon) is bursty, multiplying its arrival rate by
+	// BurstFactor. Zero disables bursts.
 	BurstProb float64 `json:"burst_prob,omitempty"`
 	// BurstFactor is the bursty-window rate multiplier (> 1).
 	BurstFactor float64 `json:"burst_factor,omitempty"`
 
-	// Window is the length of the temporal windows burst state and mix
-	// drift are re-drawn on. Defaults to Horizon/24 when zero and either
-	// bursts or drift are enabled.
-	Window float64 `json:"window,omitempty"`
 	// Drift is the per-window log-scale random-walk step of the batch-mix
 	// weights: each window, every batch application's weight is multiplied
 	// by exp(Drift·u) with u uniform in [-1, 1], then the weights are
@@ -118,6 +112,16 @@ type Config struct {
 	// unit in expectation. Zero freezes the fleet.
 	Churn float64 `json:"churn,omitempty"`
 }
+
+// windows is the number of equal temporal windows a Horizon is cut into;
+// burst state and mix drift are re-drawn per window.
+const windows = 24
+
+// MaxExpectedEvents caps a run's expected size (see expectedEvents). A
+// generated event holds 77–99 B of live heap, so the cap keeps a run's
+// event stream under about 1.6 GiB; the 10k-machine fleet benchmark
+// expects about 2.8M events.
+const MaxExpectedEvents = 1 << 24
 
 // ConfigError is the typed validation error of a cluster-run
 // configuration (cluster.ConfigError is the same type): Field is the
@@ -145,14 +149,16 @@ func fieldError(field, format string, a ...any) error {
 // even then — the window length is derived from it, and a zero horizon
 // would poison the per-window rate math with NaNs. Every float must be
 // finite: a NaN or infinite rate never advances the generator's clock.
+// And the run's expected size must stay under MaxExpectedEvents, since
+// Generate materializes every event.
 func (c Config) Validate() error {
 	for _, f := range [...]struct {
 		field string
 		x     float64
 	}{
 		{"horizon", c.Horizon}, {"arrival_rate", c.ArrivalRate}, {"mean_duration", c.MeanDuration},
-		{"diurnal", c.Diurnal}, {"period", c.Period}, {"burst_prob", c.BurstProb},
-		{"burst_factor", c.BurstFactor}, {"window", c.Window}, {"drift", c.Drift}, {"churn", c.Churn},
+		{"diurnal", c.Diurnal}, {"burst_prob", c.BurstProb}, {"burst_factor", c.BurstFactor},
+		{"drift", c.Drift}, {"churn", c.Churn},
 	} {
 		if math.IsNaN(f.x) || math.IsInf(f.x, 0) {
 			return fieldError(f.field, "must be finite, got %g", f.x)
@@ -173,36 +179,27 @@ func (c Config) Validate() error {
 		return fieldError("mean_duration", "must be positive with arrivals enabled, got %g", c.MeanDuration)
 	case c.Diurnal < 0 || c.Diurnal >= 1:
 		return fieldError("diurnal", "must be in [0, 1), got %g", c.Diurnal)
-	case c.Period < 0:
-		return fieldError("period", "must be non-negative, got %g", c.Period)
 	case c.BurstProb < 0 || c.BurstProb > 1:
 		return fieldError("burst_prob", "must be in [0, 1], got %g", c.BurstProb)
 	case c.BurstProb > 0 && c.BurstFactor <= 1:
 		return fieldError("burst_factor", "must exceed 1 with bursts enabled, got %g", c.BurstFactor)
-	case c.Window < 0:
-		return fieldError("window", "must be non-negative, got %g", c.Window)
 	case c.Drift < 0:
 		return fieldError("drift", "must be non-negative, got %g", c.Drift)
 	case c.Churn < 0:
 		return fieldError("churn", "must be non-negative, got %g", c.Churn)
+	case !(c.expectedEvents() <= MaxExpectedEvents):
+		return fieldError("horizon", "run expects %.3g events, over the cap of %d; shorten the horizon or lower the rates",
+			c.expectedEvents(), MaxExpectedEvents)
 	}
 	return nil
 }
 
-// window returns the effective window length.
-func (c Config) window() float64 {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return c.Horizon / 24
-}
-
-// period returns the effective diurnal period.
-func (c Config) period() float64 {
-	if c.Period > 0 {
-		return c.Period
-	}
-	return c.Horizon
+// expectedEvents bounds a run's expected size from above: the initial
+// fleet plus the horizon's arrivals at the peak diurnal and burst rate and
+// its churn events.
+func (c Config) expectedEvents() float64 {
+	return float64(c.Machines) + c.Horizon*(c.ArrivalRate*(1+c.Diurnal)*math.Max(1, c.BurstFactor)+
+		2*c.Churn*float64(c.Machines))
 }
 
 // shardSeed decorrelates the per-shard generators: nearby shards of the
@@ -260,8 +257,8 @@ func (ww *windowWalk) state(w int) windowState {
 		st.cdf[i] = sum
 	}
 	st.cdf[len(st.cdf)-1] = 1
-	mid := (float64(w) + 0.5) * cfg.window()
-	st.rate = ww.share * (1 + cfg.Diurnal*math.Sin(2*math.Pi*mid/cfg.period()))
+	mid := (float64(w) + 0.5) * (cfg.Horizon / windows)
+	st.rate = ww.share * (1 + cfg.Diurnal*math.Sin(2*math.Pi*mid/cfg.Horizon))
 	if cfg.BurstProb > 0 && wr.Bool(cfg.BurstProb) {
 		st.rate *= cfg.BurstFactor
 	}
@@ -294,7 +291,7 @@ func Generate(cfg Config, shard, shards int) ([]Event, error) {
 	jr := xrand.New(shardSeed(cfg.Seed, shard, 0x10B5)) // job stream
 	cr := xrand.New(shardSeed(cfg.Seed, shard, 0xC0DE)) // churn stream
 	walk := newWindowWalk(cfg, shard, shards)
-	window := cfg.window()
+	window := cfg.Horizon / windows
 	curWin := 0
 	st := walk.state(0)
 

@@ -92,7 +92,6 @@ func TestDiurnalShapesRate(t *testing.T) {
 	cfg := baseConfig()
 	cfg.ArrivalRate = 2000
 	cfg.Diurnal = 0.8
-	cfg.Period = cfg.Horizon
 	ev, err := Generate(cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -121,23 +120,22 @@ func TestMixDrift(t *testing.T) {
 	cfg := baseConfig()
 	cfg.ArrivalRate = 5000
 	cfg.Horizon = 20
-	cfg.Window = 10
 	cfg.Drift = 1.5
 	ev, err := Generate(cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	window := cfg.Horizon / windows
 	first := make([]float64, cfg.Batches)
 	last := make([]float64, cfg.Batches)
 	var nf, nl float64
 	for _, e := range ev {
-		if e.Kind != KindJobArrive {
-			continue
-		}
-		if e.At < cfg.Window {
+		switch {
+		case e.Kind != KindJobArrive:
+		case e.At < window:
 			first[e.Batch]++
 			nf++
-		} else {
+		case e.At >= cfg.Horizon-window:
 			last[e.Batch]++
 			nl++
 		}
@@ -169,6 +167,10 @@ func TestValidate(t *testing.T) {
 		{"burst", func(c *Config) { c.BurstProb = 0.5 }, "burst_factor"},
 		{"drift", func(c *Config) { c.Drift = -0.1 }, "drift"},
 		{"churn", func(c *Config) { c.Churn = -1 }, "churn"},
+		// The cap bounds the run's expected size: 1e9 time units of the
+		// CLI's default 30 jobs per machine on 20 machines.
+		{"size", func(c *Config) { c.Machines, c.Horizon, c.ArrivalRate, c.Churn = 20, 1e9, 600, 0.02 }, "horizon"},
+		{"size overflow", func(c *Config) { c.Horizon = math.MaxFloat64 }, "horizon"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,6 +181,18 @@ func TestValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want mention of %q", err, tc.frag)
 			}
 		})
+	}
+	// A world that only just fits the cap is accepted: every knob at its
+	// peak, the expected size exactly MaxExpectedEvents.
+	peak := baseConfig()
+	peak.Machines, peak.Churn, peak.Diurnal, peak.BurstProb, peak.BurstFactor = 0, 0, 0.5, 0.1, 2
+	peak.ArrivalRate = MaxExpectedEvents / (peak.Horizon * 1.5 * 2)
+	if err := peak.Validate(); err != nil {
+		t.Fatalf("config at the cap rejected: %v", err)
+	}
+	peak.ArrivalRate *= 1.01
+	if err := peak.Validate(); err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Fatalf("config 1%% over the cap: Validate() = %v, want a horizon error", err)
 	}
 	if _, err := Generate(baseConfig(), 2, 2); err == nil {
 		t.Fatal("out-of-range shard accepted")

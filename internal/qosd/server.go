@@ -195,7 +195,7 @@ func (s *Server) registerGauges() {
 			"Saturation signal: 1 scale-up, 0 steady, -1 scale-down.",
 			func() float64 {
 				rate, _ := s.slo.rejectionRate()
-				switch slo.SaturationSignal(rate, s.cfg.SLO.ScaleUpThreshold, s.cfg.SLO.ScaleDownThreshold) {
+				switch slo.SaturationSignal(rate) {
 				case slo.SignalScaleUp:
 					return 1
 				case slo.SignalScaleDown:

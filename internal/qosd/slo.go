@@ -36,28 +36,16 @@ type SLOConfig struct {
 	// gate admits against Budget·(1−Headroom), so predictions that land
 	// within Headroom of the budget are rejected as too close to call.
 	Headroom float64 `json:"headroom"`
-	// ScaleUpThreshold and ScaleDownThreshold bracket the saturation
-	// analyzer's signal: a windowed rejection rate at or above the first
-	// means demand exceeds capacity (scale up), at or below the second
-	// means capacity is slack (scale down). Zero values pick
-	// slo.DefaultScaleUpThreshold / slo.DefaultScaleDownThreshold.
-	ScaleUpThreshold   float64 `json:"scale_up_threshold,omitempty"`
-	ScaleDownThreshold float64 `json:"scale_down_threshold,omitempty"`
-	// Window is the number of recent decisions the analyzer's rejection
-	// rate is computed over (0 = DefaultSaturationWindow).
-	Window int `json:"window,omitempty"`
 }
 
-// DefaultSaturationWindow is the analyzer's default decision window.
+// DefaultSaturationWindow is the number of recent decisions the
+// analyzer's rejection rate is computed over; the rate maps onto a
+// scaling signal at slo's default thresholds (slo.SaturationSignal).
 const DefaultSaturationWindow = 256
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if len(c.Classes) == 0 {
 		c.Classes = slo.DefaultSLOClasses()
-	}
-	c.ScaleUpThreshold, c.ScaleDownThreshold = slo.Thresholds(c.ScaleUpThreshold, c.ScaleDownThreshold)
-	if c.Window <= 0 {
-		c.Window = DefaultSaturationWindow
 	}
 	return c
 }
@@ -66,7 +54,7 @@ func (c SLOConfig) withDefaults() SLOConfig {
 // trusts its config, so a caller assembling one validates it first.
 func (c SLOConfig) Validate() error {
 	c = c.withDefaults()
-	return slo.Validate(c.Classes, c.Headroom, c.ScaleUpThreshold, c.ScaleDownThreshold)
+	return slo.Validate(c.Classes, c.Headroom)
 }
 
 // Class resolves a class by name.
@@ -123,7 +111,7 @@ type sloAnalyzer struct {
 
 	mu      sync.Mutex
 	classes map[string]*sloClassCounters
-	ring    []bool // true = rejected
+	ring    [DefaultSaturationWindow]bool // true = rejected
 	next    int
 	filled  int
 }
@@ -132,7 +120,6 @@ func newSLOAnalyzer(cfg SLOConfig) *sloAnalyzer {
 	return &sloAnalyzer{
 		cfg:     cfg,
 		classes: make(map[string]*sloClassCounters, len(cfg.Classes)),
-		ring:    make([]bool, cfg.Window),
 	}
 }
 
@@ -188,9 +175,9 @@ func (a *sloAnalyzer) report() *SLOMetricsReport {
 		Saturation: SaturationReport{
 			Window:             window,
 			RejectionRate:      rate,
-			Signal:             slo.SaturationSignal(rate, a.cfg.ScaleUpThreshold, a.cfg.ScaleDownThreshold),
-			ScaleUpThreshold:   a.cfg.ScaleUpThreshold,
-			ScaleDownThreshold: a.cfg.ScaleDownThreshold,
+			Signal:             slo.SaturationSignal(rate),
+			ScaleUpThreshold:   slo.DefaultScaleUpThreshold,
+			ScaleDownThreshold: slo.DefaultScaleDownThreshold,
 		},
 	}
 	for name, c := range a.classes {

@@ -86,7 +86,6 @@ func TestSLOConfigValidate(t *testing.T) {
 		{"NaN percentile", func(c *SLOConfig) { c.Classes[0].Percentile = math.NaN() }},
 		{"negative headroom", func(c *SLOConfig) { c.Headroom = -0.1 }},
 		{"headroom at one", func(c *SLOConfig) { c.Headroom = 1 }},
-		{"thresholds inverted", func(c *SLOConfig) { c.ScaleUpThreshold, c.ScaleDownThreshold = 0.05, 0.2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -228,7 +227,7 @@ func TestSaturationSignal(t *testing.T) {
 		{0.9, slo.SignalScaleUp},
 	}
 	for _, tc := range cases {
-		if got := slo.SaturationSignal(tc.rate, 0.2, 0.05); got != tc.want {
+		if got := slo.SaturationSignal(tc.rate); got != tc.want {
 			t.Errorf("slo.SaturationSignal(%g) = %s, want %s", tc.rate, got, tc.want)
 		}
 	}
@@ -399,7 +398,6 @@ func TestAdmitDisabled(t *testing.T) {
 func TestAdmitMetrics(t *testing.T) {
 	cfg := &SLOConfig{
 		Classes: []slo.SLOClass{{Name: "critical", Budget: 0.020, Percentile: 0.95}},
-		Window:  8,
 	}
 	_, c := newTestServer(t, Config{SLO: cfg})
 	ctx := context.Background()
@@ -441,12 +439,14 @@ func TestAdmitMetrics(t *testing.T) {
 	if m.SLO.Saturation.RejectionRate != wantRate {
 		t.Errorf("rejection rate %g, want %g", m.SLO.Saturation.RejectionRate, wantRate)
 	}
-	wantSignal := slo.SaturationSignal(wantRate, m.SLO.Saturation.ScaleUpThreshold, m.SLO.Saturation.ScaleDownThreshold)
-	if m.SLO.Saturation.Signal != wantSignal {
-		t.Errorf("signal %q, want %q", m.SLO.Saturation.Signal, wantSignal)
+	if want := slo.SaturationSignal(wantRate); m.SLO.Saturation.Signal != want {
+		t.Errorf("signal %q, want %q", m.SLO.Saturation.Signal, want)
+	}
+	if sat := m.SLO.Saturation; sat.ScaleUpThreshold != slo.DefaultScaleUpThreshold || sat.ScaleDownThreshold != slo.DefaultScaleDownThreshold {
+		t.Errorf("thresholds %g/%g, want the slo defaults", sat.ScaleUpThreshold, sat.ScaleDownThreshold)
 	}
 	// Window reports the decisions currently inside the ring, not its
-	// capacity: four decisions into an 8-slot window.
+	// capacity: four decisions into a DefaultSaturationWindow-slot window.
 	if m.SLO.Saturation.Window != admits+rejects {
 		t.Errorf("window %d, want %d", m.SLO.Saturation.Window, admits+rejects)
 	}
@@ -468,12 +468,12 @@ func TestAdmitMetrics(t *testing.T) {
 // full window size, under-reporting the rate by window/filled and
 // keeping the signal pinned at slo.SignalScaleDown during warm-up.
 func TestSaturationRateOverObservedNotCapacity(t *testing.T) {
-	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses(), Window: 8}.withDefaults())
+	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults())
 	rate, window := a.rejectionRate()
 	if rate != 0 || window != 0 {
 		t.Fatalf("empty analyzer: rate=%g window=%d, want 0, 0", rate, window)
 	}
-	// 3 decisions into a window of 8: 2 rejections / 3 observed, not /8.
+	// 3 decisions into a window of 256: 2 rejections / 3 observed, not /256.
 	a.record("critical", true)
 	a.record("critical", false)
 	a.record("critical", false)
@@ -486,34 +486,36 @@ func TestSaturationRateOverObservedNotCapacity(t *testing.T) {
 	}
 }
 
-// Once the ring wraps, the rate covers exactly the last Window
-// decisions: older ones fall out, and overwritten slots are not
-// double-counted.
+// Once the ring wraps, the rate covers exactly the last
+// DefaultSaturationWindow decisions: older ones fall out, and overwritten
+// slots are not double-counted.
 func TestSaturationRateWrappedRing(t *testing.T) {
-	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses(), Window: 4}.withDefaults())
-	// 4 rejections fill the ring...
-	for i := 0; i < 4; i++ {
+	const w = DefaultSaturationWindow
+	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults())
+	// w rejections fill the ring...
+	for i := 0; i < w; i++ {
 		a.record("critical", false)
 	}
-	if rate, window := a.rejectionRate(); rate != 1 || window != 4 {
-		t.Fatalf("full ring: rate=%g window=%d, want 1, 4", rate, window)
+	if rate, window := a.rejectionRate(); rate != 1 || window != w {
+		t.Fatalf("full ring: rate=%g window=%d, want 1, %d", rate, window, w)
 	}
-	// ...then 3 admissions overwrite the oldest three. Window stays at
-	// capacity and the rate reflects the surviving mix: 1 rejection / 4.
-	for i := 0; i < 3; i++ {
+	// ...then w-1 admissions overwrite all but the newest rejection.
+	// Window stays at capacity and the rate reflects the surviving mix:
+	// 1 rejection / w.
+	for i := 0; i < w-1; i++ {
 		a.record("critical", true)
 	}
 	rate, window := a.rejectionRate()
-	if window != 4 {
-		t.Fatalf("wrapped window = %d, want 4", window)
+	if window != w {
+		t.Fatalf("wrapped window = %d, want %d", window, w)
 	}
-	if want := 1.0 / 4.0; rate != want {
+	if want := 1.0 / w; rate != want {
 		t.Fatalf("wrapped rate = %g, want %g", rate, want)
 	}
 	// Lifetime counters are unaffected by the ring wrapping.
 	r := a.report()
 	c := r.Classes["critical"]
-	if c.Admitted != 3 || c.Rejected != 4 {
-		t.Fatalf("lifetime counters = %+v, want 3 admitted / 4 rejected", c)
+	if c.Admitted != w-1 || c.Rejected != w {
+		t.Fatalf("lifetime counters = %+v, want %d admitted / %d rejected", c, w-1, w)
 	}
 }

@@ -32,8 +32,9 @@ type SLOClass struct {
 	Percentile float64 `json:"percentile"`
 }
 
-// Saturation-signal thresholds, used wherever a configuration leaves
-// them zero.
+// Saturation-signal thresholds: a rejection rate at or above
+// DefaultScaleUpThreshold means demand exceeds capacity, at or below
+// DefaultScaleDownThreshold means capacity is slack (SaturationSignal).
 const (
 	DefaultScaleUpThreshold   = 0.2
 	DefaultScaleDownThreshold = 0.05
@@ -49,18 +50,6 @@ func DefaultSLOClasses() []SLOClass {
 	}
 }
 
-// Thresholds returns the scale-up / scale-down thresholds with zero
-// values replaced by DefaultScaleUpThreshold / DefaultScaleDownThreshold.
-func Thresholds(up, down float64) (float64, float64) {
-	if up == 0 {
-		up = DefaultScaleUpThreshold
-	}
-	if down == 0 {
-		down = DefaultScaleDownThreshold
-	}
-	return up, down
-}
-
 // CheckHeadroom rejects an admission headroom outside [0,1), NaN included.
 func CheckHeadroom(h float64) error {
 	if !(h >= 0 && h < 1) {
@@ -71,10 +60,9 @@ func CheckHeadroom(h float64) error {
 
 // Validate rejects an admission configuration the gate cannot evaluate: a
 // class set that is empty, unnamed, duplicated, or carries a budget that
-// is not positive and finite or a percentile outside (0,1); a headroom
-// outside [0,1); or saturation thresholds that leave no steady band. Zero
-// thresholds are checked at their defaults (Thresholds).
-func Validate(classes []SLOClass, headroom, scaleUp, scaleDown float64) error {
+// is not positive and finite or a percentile outside (0,1); or a headroom
+// outside [0,1).
+func Validate(classes []SLOClass, headroom float64) error {
 	if len(classes) == 0 {
 		return fmt.Errorf("slo: need at least one class")
 	}
@@ -94,13 +82,7 @@ func Validate(classes []SLOClass, headroom, scaleUp, scaleDown float64) error {
 			return fmt.Errorf("slo: class %q percentile %g outside (0,1)", cl.Name, cl.Percentile)
 		}
 	}
-	if err := CheckHeadroom(headroom); err != nil {
-		return err
-	}
-	if up, down := Thresholds(scaleUp, scaleDown); up <= down {
-		return fmt.Errorf("slo: scale-up threshold %g must exceed scale-down threshold %g", up, down)
-	}
-	return nil
+	return CheckHeadroom(headroom)
 }
 
 // ParseSLOClasses parses a comma-separated class spec of the form
@@ -138,7 +120,7 @@ func ParseSLOClasses(spec string) ([]SLOClass, error) {
 		}
 		classes = append(classes, SLOClass{Name: name, Budget: budget.Seconds(), Percentile: p})
 	}
-	if err := Validate(classes, 0, 0, 0); err != nil {
+	if err := Validate(classes, 0); err != nil {
 		return nil, err
 	}
 	return classes, nil
@@ -227,14 +209,14 @@ const (
 	SignalScaleDown = "scale_down"
 )
 
-// SaturationSignal maps a rejection rate onto a scaling signal given the
-// two thresholds. Shared by the daemon's live analyzer and the cluster
+// SaturationSignal maps a rejection rate onto a scaling signal at the
+// default thresholds. Shared by the daemon's live analyzer and the cluster
 // simulator's Summary so both report the same semantics.
-func SaturationSignal(rejectionRate, scaleUp, scaleDown float64) string {
+func SaturationSignal(rejectionRate float64) string {
 	switch {
-	case rejectionRate >= scaleUp:
+	case rejectionRate >= DefaultScaleUpThreshold:
 		return SignalScaleUp
-	case rejectionRate <= scaleDown:
+	case rejectionRate <= DefaultScaleDownThreshold:
 		return SignalScaleDown
 	default:
 		return SignalSteady

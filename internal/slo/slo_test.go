@@ -19,7 +19,7 @@ func FuzzParseSLOClasses(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := Validate(classes, 0, 0, 0); err != nil {
+		if err := Validate(classes, 0); err != nil {
 			t.Fatalf("ParseSLOClasses(%q) accepted %+v, which Validate rejects: %v", spec, classes, err)
 		}
 	})

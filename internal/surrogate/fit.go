@@ -31,8 +31,6 @@ type FitOptions struct {
 	// clamped into (0, 1], deduplicated, ascending, 1.0 always included).
 	// Nil means DefaultIntensities.
 	Intensities []float64
-	// Ridge is the least-squares damping; 0 means DefaultRidge.
-	Ridge float64
 }
 
 // grid returns the normalized training grid.
@@ -44,21 +42,14 @@ func (fo FitOptions) grid() []float64 {
 	return profile.SweepGrid(xs)
 }
 
-func (fo FitOptions) ridge() float64 {
-	if fo.Ridge == 0 {
-		return DefaultRidge
-	}
-	return fo.Ridge
-}
-
 // fitCurve least-squares-fits one response curve over the (intensity,
 // value) samples and records its training residuals.
-func fitCurve(xs, ys []float64, ridge float64) (Curve, error) {
+func fitCurve(xs, ys []float64) (Curve, error) {
 	rows := make([][]float64, len(xs))
 	for i, x := range xs {
 		rows[i] = []float64{x, math.Sqrt(x), x * x}
 	}
-	coef, err := linalg.LeastSquares(rows, ys, ridge)
+	coef, err := linalg.LeastSquares(rows, ys, DefaultRidge)
 	if err != nil {
 		return Curve{}, fmt.Errorf("surrogate: curve fit failed: %w", err)
 	}
@@ -96,7 +87,7 @@ func Fit(ctx context.Context, p *profile.Profiler, specs []*workload.Spec, place
 		Models:    make(map[string]*Model, len(specs)),
 	}
 	for i, sw := range sweeps {
-		m, err := fitModel(sw, placement, xs, fo.ridge())
+		m, err := fitModel(sw, placement, xs)
 		if err != nil {
 			return nil, fmt.Errorf("surrogate: fitting %s: %w", specs[i].Name, err)
 		}
@@ -106,7 +97,7 @@ func Fit(ctx context.Context, p *profile.Profiler, specs []*workload.Spec, place
 }
 
 // fitModel turns one sweep grid into a fitted Model.
-func fitModel(sw profile.SweepResult, placement profile.Placement, xs []float64, ridge float64) (*Model, error) {
+func fitModel(sw profile.SweepResult, placement profile.Placement, xs []float64) (*Model, error) {
 	m := &Model{
 		App:         sw.Characterization.App,
 		Placement:   placement,
@@ -124,10 +115,10 @@ func fitModel(sw profile.SweepResult, placement profile.Placement, xs []float64,
 			sen[i], con[i] = s.Sen, s.Con
 		}
 		var err error
-		if m.Sen[d], err = fitCurve(xs, sen, ridge); err != nil {
+		if m.Sen[d], err = fitCurve(xs, sen); err != nil {
 			return nil, fmt.Errorf("dimension %d sensitivity: %w", d, err)
 		}
-		if m.Con[d], err = fitCurve(xs, con, ridge); err != nil {
+		if m.Con[d], err = fitCurve(xs, con); err != nil {
 			return nil, fmt.Errorf("dimension %d contentiousness: %w", d, err)
 		}
 	}
@@ -139,8 +130,8 @@ func fitModel(sw profile.SweepResult, placement profile.Placement, xs []float64,
 // measurement options (sans the non-semantic Cache/Parallelism/Progress/
 // Sampler fields), the normalized training grid, the ridge, and the job's
 // workload fingerprint — so a profstore entry can never be stale for
-// changed inputs. The format is pinned by a golden test; bump the version
-// tag when the fit semantics change.
+// changed inputs. TestKeyForPinned pins the format; bump the version tag
+// when the fit semantics change.
 func KeyFor(p *profile.Profiler, spec *workload.Spec, placement profile.Placement, fo FitOptions) simcache.Key {
 	opts := p.Options()
 	opts.Cache = nil
@@ -151,7 +142,7 @@ func KeyFor(p *profile.Profiler, spec *workload.Spec, placement profile.Placemen
 	if f, ok := p.JobFor(spec, placement).(profile.Fingerprinter); ok {
 		fp = f.Fingerprint()
 	}
-	return simcache.KeyOf("surrogate/fit/v1", p.Config(), placement, opts, fo.grid(), fo.ridge(), fp)
+	return simcache.KeyOf("surrogate/fit/v1", p.Config(), placement, opts, fo.grid(), DefaultRidge, fp)
 }
 
 // StoreStats reports how a FitWithStore call was served.

@@ -48,7 +48,9 @@ func SaveSet(w io.Writer, s *Set) error {
 }
 
 // LoadSet reads a set saved by SaveSet, rejecting version or dimension
-// skew with typed errors.
+// skew with typed errors, and a set it cannot serve with ErrCorrupt: a
+// null model, a model filed under another application's name, or a
+// negative residual bound (which would pass every accuracy threshold).
 func LoadSet(r io.Reader) (*Set, error) {
 	var env setEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -66,7 +68,30 @@ func LoadSet(r io.Reader) (*Set, error) {
 	if env.Set.Models == nil {
 		env.Set.Models = make(map[string]*Model)
 	}
+	for app, m := range env.Set.Models {
+		if err := checkModel(app, m); err != nil {
+			return nil, fmt.Errorf("%w: model %q: %v", ErrCorrupt, app, err)
+		}
+	}
 	return env.Set, nil
+}
+
+// checkModel rejects a model the set cannot serve under key app.
+func checkModel(app string, m *Model) error {
+	if m == nil {
+		return errors.New("null")
+	}
+	if m.App != app {
+		return fmt.Errorf("carries app %q", m.App)
+	}
+	for d := range m.Sen {
+		for _, c := range [...]Curve{m.Sen[d], m.Con[d]} {
+			if c.MaxAbsErr < 0 || c.MeanAbsErr < 0 {
+				return fmt.Errorf("negative residual bound on dimension %d", d)
+			}
+		}
+	}
+	return nil
 }
 
 // WriteSetFile saves the set to path atomically (temp file + rename).

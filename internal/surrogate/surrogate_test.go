@@ -3,6 +3,7 @@ package surrogate
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
@@ -52,7 +53,7 @@ func TestCurveFitRepresentable(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = truth(x)
 	}
-	c, err := fitCurve(xs, ys, DefaultRidge)
+	c, err := fitCurve(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +299,6 @@ func TestKeyDiscriminates(t *testing.T) {
 		"grid": func() bool {
 			return KeyFor(profile.NewProfiler(cfg, opts), spec, profile.SMT, FitOptions{Intensities: []float64{0.5}}) != base
 		},
-		"ridge": func() bool {
-			return KeyFor(profile.NewProfiler(cfg, opts), spec, profile.SMT, FitOptions{Ridge: 1e-6}) != base
-		},
 		"spec": func() bool {
 			return KeyFor(profile.NewProfiler(cfg, opts), mustSpec(t, "470.lbm"), profile.SMT, FitOptions{}) != base
 		},
@@ -319,6 +317,17 @@ func TestKeyDiscriminates(t *testing.T) {
 		if !moved() {
 			t.Errorf("changing %s did not move the key", name)
 		}
+	}
+}
+
+// TestKeyForPinned pins one content address byte for byte: a profstore
+// written by an earlier build stays warm only while the key format (the
+// version tag, the part order, the ridge in its slot) is unchanged.
+func TestKeyForPinned(t *testing.T) {
+	const want = "c55e76e3c6faca9e0612b24ffdd48b5d0f2b42c70e7e808906ff5c3ce8c28ccb"
+	k := KeyFor(profile.NewProfiler(testConfig(), testOptions()), mustSpec(t, "429.mcf"), profile.SMT, FitOptions{})
+	if got := hex.EncodeToString(k[:]); got != want {
+		t.Errorf("KeyFor = %s, want %s", got, want)
 	}
 }
 
@@ -365,6 +374,35 @@ func TestSetFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Error("file round trip mangled set")
+	}
+}
+
+// TestLoadSetRejectsUnservable: a set file that decodes but that the set
+// cannot serve fails with ErrCorrupt. A null model once passed LoadSet
+// and panicked Set.Predict with a nil dereference, and a negative bound
+// would pass every accuracy threshold.
+func TestLoadSetRejectsUnservable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Set)
+	}{
+		{"null models", func(s *Set) { s.Models = map[string]*Model{"a": nil, "b": nil} }},
+		{"app mismatch", func(s *Set) { s.Models["b"].App = "c" }},
+		{"negative max_abs_err", func(s *Set) { s.Models["a"].Con[3].MaxAbsErr = -0.01 }},
+		{"negative mean_abs_err", func(s *Set) { s.Models["b"].Sen[0].MeanAbsErr = -1e-3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := syntheticSet()
+			s.Eq3 = &model.Smite{Intercept: 0.01}
+			tc.mut(s)
+			var buf bytes.Buffer
+			if err := SaveSet(&buf, s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSet(&buf); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("LoadSet = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -3,10 +3,12 @@ package smite
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/surrogate"
 )
 
 func sampleModel() Model {
@@ -93,6 +95,23 @@ func TestLoadFailureTyping(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := modBuf.String()
+	dir := t.TempDir()
+	if err := SaveSurrogate(dir+"/set.json", &Surrogate{Models: map[string]*SurrogateModel{"a": {App: "a"}}}); err != nil {
+		t.Fatal(err)
+	}
+	surBytes, err := os.ReadFile(dir + "/set.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sur := string(surBytes)
+	loadSurrogateErr := func(s string) error {
+		path := dir + "/tampered.json"
+		if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSurrogate(path)
+		return err
+	}
 
 	cases := []struct {
 		name  string
@@ -109,18 +128,33 @@ func TestLoadFailureTyping(t *testing.T) {
 		{"model/version-skew", strings.Replace(mod, `"version": 1`, `"version": 7`, 1), loadModelErr, ErrVersionSkew},
 		{"model/dimension-dropped", strings.Replace(mod, `    "FP_MUL(P0)",`+"\n", "", 1), loadModelErr, ErrDimensionMismatch},
 		{"model/coefficient-count", strings.Replace(mod, "\n    0.1,", "", 1), loadModelErr, ErrDimensionMismatch},
+		{"surrogate/truncated", sur[:len(sur)/2], loadSurrogateErr, ErrCorrupt},
+		{"surrogate/null-model", strings.Replace(sur, `"a": {`, `"a": null, "b": {`, 1), loadSurrogateErr, ErrCorrupt},
+		{"surrogate/version-skew", strings.Replace(sur, `"version": 1`, `"version": 2`, 1), loadSurrogateErr, ErrVersionSkew},
+		{"surrogate/dimension-count", strings.Replace(sur, `"dimensions": 8`, `"dimensions": 7`, 1), loadSurrogateErr, ErrDimensionMismatch},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.input == prof || tc.input == mod {
+			if tc.input == prof || tc.input == mod || tc.input == sur {
 				t.Fatal("tamper pattern did not match the encoded file")
 			}
 			err := tc.load(tc.input)
 			if !errors.Is(err, tc.want) {
 				t.Errorf("got %v, want %v", err, tc.want)
 			}
+			// LoadSurrogate keeps the surrogate package's sentinel in the
+			// chain beside smite's.
+			if inner := surrogateSentinel[tc.want]; strings.HasPrefix(tc.name, "surrogate/") && !errors.Is(err, inner) {
+				t.Errorf("got %v, want %v in the chain too", err, inner)
+			}
 		})
 	}
+}
+
+var surrogateSentinel = map[error]error{
+	ErrCorrupt:           surrogate.ErrCorrupt,
+	ErrVersionSkew:       surrogate.ErrVersionSkew,
+	ErrDimensionMismatch: surrogate.ErrDimensionMismatch,
 }
 
 func loadProfilesErr(s string) error { _, err := LoadProfiles(strings.NewReader(s)); return err }

@@ -44,6 +44,7 @@ package smite
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/model"
@@ -88,7 +89,7 @@ type (
 	SurrogateModel = surrogate.Model
 	// SurrogatePrediction is a surrogate degradation answer plus its bound.
 	SurrogatePrediction = surrogate.Prediction
-	// FitOptions parameterize surrogate fitting (training grid, ridge).
+	// FitOptions parameterize surrogate fitting (the training grid).
 	FitOptions = surrogate.FitOptions
 	// ProfileStore is the content-addressed on-disk store surrogate fits
 	// warm-start from (see OpenProfileStore).
@@ -180,15 +181,11 @@ func StandardRulers(cfg MachineConfig) []*Ruler { return rulers.StandardSet(cfg)
 // machine plus memoised solo runs. It is safe for concurrent use.
 type System struct {
 	prof *profile.Profiler
-	sur  *Surrogate
 }
 
-// sysOptions aggregates everything New configures: the measurement
-// options plus construction-time extras that live outside profile.Options
-// (the attached surrogate tier).
+// sysOptions aggregates everything New configures.
 type sysOptions struct {
 	opts Options
-	sur  *Surrogate
 }
 
 // Option configures a System at construction (see New).
@@ -228,15 +225,6 @@ func WithProgress(fn func(done, total int)) Option {
 	return func(dst *sysOptions) { dst.opts.Progress = fn }
 }
 
-// WithSurrogate attaches a fitted surrogate set (System.Fit, LoadSurrogate)
-// to the System, so surrogate-eligible queries can be answered in
-// microseconds with an error bound instead of simulating. The engine path
-// stays authoritative — consumers such as qosd fall back to it whenever an
-// answer's bound exceeds their accuracy budget.
-func WithSurrogate(set *Surrogate) Option {
-	return func(dst *sysOptions) { dst.sur = set }
-}
-
 // New builds a System for a machine configuration (use Machine.Config for
 // the two stock Table I machines). With no options it measures with
 // DefaultOptions; functional options adjust from there:
@@ -252,15 +240,11 @@ func New(cfg MachineConfig, opts ...Option) (*System, error) {
 	for _, opt := range opts {
 		opt(&so)
 	}
-	return &System{prof: profile.NewProfiler(cfg, so.opts), sur: so.sur}, nil
+	return &System{prof: profile.NewProfiler(cfg, so.opts)}, nil
 }
 
 // Machine returns the system's configuration.
 func (s *System) Machine() MachineConfig { return s.prof.Config() }
-
-// Surrogate returns the attached surrogate set, or nil when the System
-// was built without one (WithSurrogate).
-func (s *System) Surrogate() *Surrogate { return s.sur }
 
 // Fit fits a surrogate set for the applications on this System's machine
 // and measurement options: each application's (dimension, intensity) grid
@@ -295,8 +279,23 @@ func OpenProfileStore(dir string) (*ProfileStore, error) { return profstore.Open
 // skew with typed errors.
 func SaveSurrogate(path string, set *Surrogate) error { return surrogate.WriteSetFile(path, set) }
 
-// LoadSurrogate reads a set saved by SaveSurrogate.
-func LoadSurrogate(path string) (*Surrogate, error) { return surrogate.ReadSetFile(path) }
+// LoadSurrogate reads a set saved by SaveSurrogate. A file it cannot load
+// fails with ErrCorrupt, ErrVersionSkew or ErrDimensionMismatch, like the
+// profile and model loaders; the surrogate package's own sentinel stays in
+// the chain.
+func LoadSurrogate(path string) (*Surrogate, error) {
+	set, err := surrogate.ReadSetFile(path)
+	for _, m := range [...]struct{ from, to error }{
+		{surrogate.ErrCorrupt, ErrCorrupt},
+		{surrogate.ErrVersionSkew, ErrVersionSkew},
+		{surrogate.ErrDimensionMismatch, ErrDimensionMismatch},
+	} {
+		if errors.Is(err, m.from) {
+			return nil, fmt.Errorf("%w: %w", m.to, err)
+		}
+	}
+	return set, err
+}
 
 // Characterize measures an application's sensitivity and contentiousness
 // along every sharing dimension by co-locating it with each Ruler.
@@ -406,21 +405,6 @@ func (m Model) PredictPartial(victim, aggressor Characterization, instances, thr
 // elsewhere (e.g. a qosd registry) rather than embedded in the set.
 func (m Model) PredictSurrogate(set *Surrogate, victim, aggressor string) (SurrogatePrediction, error) {
 	return set.PredictWith(m.inner, victim, aggressor, 1)
-}
-
-// PredictScaled predicts a multithreaded victim's aggregate degradation
-// when only `instances` of its `threads` hardware contexts receive an
-// aggressor instance (the occupancy scaling used in the CloudSuite and
-// scale-out studies).
-func (m Model) PredictScaled(victim, aggressor Characterization, instances, threads int) float64 {
-	if threads <= 0 {
-		return 0
-	}
-	f := float64(instances) / float64(threads)
-	if f > 1 {
-		f = 1
-	}
-	return f * m.PredictPair(victim, aggressor)
 }
 
 // Train fits the model from characterizations and measured pairs

@@ -104,17 +104,6 @@ func TestEndToEndSession(t *testing.T) {
 		t.Errorf("prediction %.3f far from measured %.3f", pred, pm.DegA)
 	}
 
-	// Occupancy scaling: fewer instances, proportionally less damage.
-	if got := m.PredictScaled(ch, chLbm, 1, 2); math.Abs(got-pred/2) > 1e-12 {
-		t.Errorf("PredictScaled = %g, want %g", got, pred/2)
-	}
-	if got := m.PredictScaled(ch, chLbm, 5, 2); math.Abs(got-pred) > 1e-12 {
-		t.Errorf("PredictScaled should clamp at full pressure")
-	}
-	if m.PredictScaled(ch, chLbm, 1, 0) != 0 {
-		t.Error("zero threads should predict 0")
-	}
-
 	// SafeColocation consistency with PredictPair.
 	if m.SafeColocation(ch, chLbm, 1-pred+0.01) {
 		t.Error("SafeColocation accepted an unsafe target")
