@@ -673,13 +673,13 @@ func BenchmarkCharacterizeAllParallel(b *testing.B) {
 		workers := bc.workers
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := smite.New(smite.IvyBridge.Config(),
-					smite.WithOptions(smite.FastOptions()),
-					smite.WithParallelism(workers))
+				opts := smite.FastOptions()
+				opts.Parallelism = workers
+				sys, err := smite.New(smite.IvyBridge.Config(), smite.WithOptions(opts))
 				if err != nil {
 					b.Fatal(err)
 				}
-				chars, err := sys.CharacterizeAll(specs, smite.SMT)
+				chars, err := sys.CharacterizeAllContext(context.Background(), specs, smite.SMT)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -738,7 +738,7 @@ func TestSurrogateSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.CharacterizeAll(specs, smite.SMT); err != nil {
+	if _, err := fresh.CharacterizeAllContext(context.Background(), specs, smite.SMT); err != nil {
 		t.Fatal(err)
 	}
 	engineTime := time.Since(start)
@@ -805,9 +805,9 @@ func BenchmarkCharacterizeBatched(b *testing.B) {
 	skipMacroBench(b)
 	specs := fitBenchSpecs(b)
 	for i := 0; i < b.N; i++ {
-		sys, err := smite.New(smite.IvyBridge.Config(),
-			smite.WithOptions(smite.FastOptions()),
-			smite.WithParallelism(8))
+		opts := smite.FastOptions()
+		opts.Parallelism = 8
+		sys, err := smite.New(smite.IvyBridge.Config(), smite.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"io"
@@ -88,7 +89,7 @@ func FuzzSimFlags(f *testing.F) {
 		}); err != nil {
 			return
 		}
-		cfg, err := sim.config("avg")
+		cfg, err := sim.config(context.Background(), "avg")
 		if err != nil {
 			var fe *FlagError
 			if !errors.As(err, &fe) {

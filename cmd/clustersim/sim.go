@@ -18,6 +18,7 @@ import (
 	"repro/internal/isol"
 	"repro/internal/sim/isa"
 	"repro/internal/slo"
+	"repro/internal/surrogate"
 )
 
 // FlagError reports a flag value that fails validation. main exits 2 on
@@ -140,7 +141,7 @@ var fieldIndex = regexp.MustCompile(`\[\d+\]`)
 // scales with it, and avg QoS, the only kind the synthetic world
 // defines); a Validate rejection maps back onto the flag that set the
 // field.
-func (f *simFlags) config(qos string) (cluster.SimConfig, error) {
+func (f *simFlags) config(ctx context.Context, qos string) (cluster.SimConfig, error) {
 	cfg := f.cfg
 	w := &cfg.Workload
 	if w.Machines <= 0 {
@@ -182,7 +183,7 @@ func (f *simFlags) config(qos string) (cluster.SimConfig, error) {
 	if levels != nil {
 		cfg.Isol = &cluster.IsolSimParams{Levels: levels}
 	}
-	if err := f.attachTables(&cfg); err != nil {
+	if err := f.attachTables(ctx, &cfg); err != nil {
 		return cfg, err
 	}
 	if err := cfg.Validate(); err != nil {
@@ -288,7 +289,7 @@ func runClusterSim(ctx context.Context, f *simFlags, qos string, w io.Writer) er
 		fmt.Fprintf(w, "replaying %s: %d machines over %g time units\n", f.replay, cfg.Workload.Machines, cfg.Workload.Horizon)
 	} else {
 		var err error
-		if cfg, err = f.config(qos); err != nil {
+		if cfg, err = f.config(ctx, qos); err != nil {
 			return err
 		}
 		if events, err = cluster.GenerateEvents(cfg); err != nil {
@@ -380,10 +381,10 @@ func runClusterSim(ctx context.Context, f *simFlags, qos string, w io.Writer) er
 // seam — analytic surrogate curves as the first tier, the seeded measured
 // table as the fallback — for the homogeneous world or for every
 // -machine-mix generation.
-func (f *simFlags) attachTables(cfg *cluster.SimConfig) error {
+func (f *simFlags) attachTables(ctx context.Context, cfg *cluster.SimConfig) error {
 	const maxInst = simContexts - simThreads
 	if f.machineMix == "" {
-		pt, err := f.predTable("", maxInst)
+		pt, err := f.predTable(ctx, "", maxInst)
 		cfg.Table = pt
 		return err
 	}
@@ -402,7 +403,7 @@ func (f *simFlags) attachTables(cfg *cluster.SimConfig) error {
 		depth = min(depth, g.contexts-g.threads)
 	}
 	for _, g := range mix {
-		pt, err := f.predTable(g.name, depth)
+		pt, err := f.predTable(ctx, g.name, depth)
 		if err != nil {
 			return err
 		}
@@ -417,12 +418,14 @@ func (f *simFlags) attachTables(cfg *cluster.SimConfig) error {
 
 // predTable builds one generation's prediction surface; an empty gen name
 // is the homogeneous world.
-func (f *simFlags) predTable(gen string, maxInst int) (*cluster.PredTable, error) {
-	seed := f.cfg.Workload.Seed
-	set, tbl, err := cluster.SyntheticGenWorld(gen, simLats, simBatches, maxInst, seed)
-	if gen == "" {
-		set, tbl, err = cluster.SyntheticWorld(simLats, simBatches, maxInst, seed)
+func (f *simFlags) predTable(ctx context.Context, gen string, maxInst int) (*cluster.PredTable, error) {
+	world := cluster.SyntheticWorld
+	if gen != "" {
+		world = func(nLat, nBatch, maxInst int, seed uint64) (*surrogate.Set, *cluster.Table, error) {
+			return cluster.SyntheticGenWorld(gen, nLat, nBatch, maxInst, seed)
+		}
 	}
+	set, tbl, err := world(simLats, simBatches, maxInst, f.cfg.Workload.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -430,5 +433,5 @@ func (f *simFlags) predTable(gen string, maxInst int) (*cluster.PredTable, error
 		&cluster.SurrogatePredictor{Set: set, Capacity: maxInst},
 		&cluster.TablePredictor{Table: tbl},
 	)
-	return cluster.BuildPredTable(context.Background(), tbl, nil, cluster.QoSAvg, pred, f.parallelism)
+	return cluster.BuildPredTable(ctx, tbl, nil, cluster.QoSAvg, pred, f.parallelism)
 }

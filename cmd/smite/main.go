@@ -150,12 +150,13 @@ func machineOptions(machine string, fast bool) (smite.Machine, smite.Options, er
 	return m, opts, nil
 }
 
-func newSystem(machine string, fast bool, extra ...smite.Option) (*smite.System, error) {
+func newSystem(machine string, fast bool, parallelism int) (*smite.System, error) {
 	m, opts, err := machineOptions(machine, fast)
 	if err != nil {
 		return nil, err
 	}
-	return smite.New(m.Config(), append([]smite.Option{smite.WithOptions(opts)}, extra...)...)
+	opts.Parallelism = parallelism
+	return smite.New(m.Config(), smite.WithOptions(opts))
 }
 
 func parsePlacement(s string) (smite.Placement, error) {
@@ -183,7 +184,7 @@ func characterize(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := newSystem(*machine, *fast)
+	sys, err := newSystem(*machine, *fast, 0)
 	if err != nil {
 		return err
 	}
@@ -230,7 +231,7 @@ func predict(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := newSystem(*machine, *fast)
+	sys, err := newSystem(*machine, *fast, 0)
 	if err != nil {
 		return err
 	}
@@ -285,7 +286,7 @@ func measure(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := newSystem(*machine, *fast, smite.WithParallelism(*parallelism))
+	sys, err := newSystem(*machine, *fast, *parallelism)
 	if err != nil {
 		return err
 	}
@@ -338,7 +339,7 @@ func fit(ctx context.Context, args []string) error {
 			specs = append(specs, spec)
 		}
 	}
-	sys, err := newSystem(*machine, *fast, smite.WithParallelism(*parallelism))
+	sys, err := newSystem(*machine, *fast, *parallelism)
 	if err != nil {
 		return err
 	}

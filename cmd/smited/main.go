@@ -251,9 +251,8 @@ func newApp(cfg config, stdout, stderr io.Writer) (*app, error) {
 		if cfg.fast {
 			opts = smite.FastOptions()
 		}
-		sys, err := smite.New(machine.Config(),
-			smite.WithOptions(opts),
-			smite.WithParallelism(cfg.parallelism))
+		opts.Parallelism = cfg.parallelism
+		sys, err := smite.New(machine.Config(), smite.WithOptions(opts))
 		if err != nil {
 			return nil, fmt.Errorf("building simulation system: %w", err)
 		}

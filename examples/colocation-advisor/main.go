@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -19,6 +20,7 @@ import (
 
 func main() {
 	const qosTarget = 0.90 // the service must keep 90% of its performance
+	ctx := context.Background()
 
 	// The latency-sensitive service runs on the 6-core Sandy Bridge-EN
 	// fleet, half-loaded: one thread per core, siblings idle.
@@ -51,7 +53,7 @@ func main() {
 	// Train once on a disjoint set (the paper's odd-numbered protocol,
 	// truncated for speed).
 	_, train := smite.TrainTestSplit()
-	m, _, err := sys.TrainFromSets(train[:8], smite.SMT)
+	m, _, err := sys.TrainFromSetsContext(ctx, train[:8], smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 	// One characterization per application — this is the whole profiling
 	// cost of admitting a new batch workload to the cluster.
 	fmt.Println("characterizing the service and candidates...")
-	chService, err := sys.Characterize(websearch, smite.SMT)
+	chService, err := sys.CharacterizeContext(ctx, websearch, smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func main() {
 	}
 	var ranking []ranked
 	for _, c := range candidates {
-		ch, err := sys.Characterize(c, smite.SMT)
+		ch, err := sys.CharacterizeContext(ctx, c, smite.SMT)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,6 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	for _, machine := range []smite.Machine{smite.IvyBridge, smite.SandyBridgeEN} {
 		cfg := machine.Config()
 		cfg.Cores = 2 // example runtime
@@ -47,7 +49,7 @@ func main() {
 		}
 		fmt.Printf("=== %s ===\n", cfg.Name)
 		for _, placement := range []smite.Placement{smite.SMT, smite.CMP} {
-			ch, err := sys.Characterize(encoder, placement)
+			ch, err := sys.CharacterizeContext(ctx, encoder, placement)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -31,6 +32,7 @@ import (
 func main() {
 	dir := flag.String("dir", "", "also write profiles.json and model.json into this directory")
 	flag.Parse()
+	ctx := context.Background()
 
 	sys, err := smite.New(smite.IvyBridge.Config(), smite.WithOptions(smite.FastOptions()))
 	if err != nil {
@@ -48,12 +50,12 @@ func main() {
 		apps = append(apps, s)
 	}
 	fmt.Println("profiling pass: characterizing", len(apps), "applications...")
-	chars, err := sys.CharacterizeAll(apps, smite.SMT)
+	chars, err := sys.CharacterizeAllContext(ctx, apps, smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}
 	train, _ := smite.TrainTestSplit()
-	model, _, err := sys.TrainFromSets(train[:8], smite.SMT)
+	model, _, err := sys.TrainFromSetsContext(ctx, train[:8], smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A System is one simulated SMT machine plus the measurement harness.
 	// FastOptions keeps this example snappy; use DefaultOptions for the
 	// paper-scale windows.
@@ -37,11 +40,11 @@ func main() {
 	// Step 1: characterize each application once. This is the only
 	// profiling SMiTe ever needs per application — no cross-product.
 	fmt.Println("characterizing with the Ruler suite...")
-	chNamd, err := sys.Characterize(namd, smite.SMT)
+	chNamd, err := sys.CharacterizeContext(ctx, namd, smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}
-	chMcf, err := sys.Characterize(mcf, smite.SMT)
+	chMcf, err := sys.CharacterizeContext(ctx, mcf, smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func main() {
 	train = train[:8]
 	fmt.Printf("training on %d applications (%d co-location measurements)...\n",
 		len(train), len(train)*(len(train)-1)/2)
-	m, _, err := sys.TrainFromSets(train, smite.SMT)
+	m, _, err := sys.TrainFromSetsContext(ctx, train, smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func main() {
 	// against an actual co-located run.
 	predNamd := m.PredictPair(chNamd, chMcf)
 	predMcf := m.PredictPair(chMcf, chNamd)
-	actual, err := sys.MeasurePair(namd, mcf, smite.SMT)
+	actual, err := sys.MeasurePairContext(ctx, namd, mcf, smite.SMT)
 	if err != nil {
 		log.Fatal(err)
 	}

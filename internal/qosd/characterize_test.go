@@ -10,10 +10,9 @@ import (
 )
 
 // fastSystem builds a simulation System on the shortened windows.
-func fastSystem(t *testing.T, opts ...smite.Option) *smite.System {
+func fastSystem(t *testing.T) *smite.System {
 	t.Helper()
-	sys, err := smite.New(smite.IvyBridge.Config(),
-		append([]smite.Option{smite.WithOptions(smite.FastOptions())}, opts...)...)
+	sys, err := smite.New(smite.IvyBridge.Config(), smite.WithOptions(smite.FastOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

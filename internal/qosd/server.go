@@ -129,7 +129,7 @@ func NewServer(reg *Registry, cfg Config) *Server {
 		metrics:  newServerMetrics(),
 	}
 	if cfg.SLO != nil {
-		s.slo = newSLOAnalyzer(*cfg.SLO)
+		s.slo = newSLOAnalyzer(*cfg.SLO, s.metrics.reg)
 	}
 	s.mux.HandleFunc("/healthz", s.method(http.MethodGet, s.handleHealthz))
 	s.mux.HandleFunc("/metrics", s.method(http.MethodGet, s.handleMetrics))
@@ -186,8 +186,6 @@ func (s *Server) registerGauges() {
 	// SLO gauges only exist on daemons running the admission gate, so
 	// the OpenMetrics exposition of an SLO-less daemon is unchanged.
 	if s.slo != nil {
-		m.admits = reg.CounterVec("qosd_admit_decisions",
-			"SLO admission decisions, by class and outcome.", "class", "outcome")
 		reg.GaugeFunc("qosd_slo_rejection_rate",
 			"Windowed fraction of rejected admissions.",
 			func() float64 { rate, _ := s.slo.rejectionRate(); return rate })
@@ -366,9 +364,6 @@ type serverMetrics struct {
 	reg      *metrics.Registry
 	requests *metrics.CounterVec
 	latency  *metrics.Histogram
-	// admits counts SLO admission decisions by (class, outcome); nil on
-	// daemons without the admission gate.
-	admits *metrics.CounterVec
 
 	mu     sync.Mutex
 	window *stats.Window
@@ -614,13 +609,6 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := slo.EvaluateAdmission(pred.deg, pred.bound, req.Queue.Mu, req.Queue.Lambda, class, s.cfg.SLO.Headroom)
 	s.slo.record(class.Name, dec.Admitted)
-	if s.metrics.admits != nil {
-		outcome := "admitted"
-		if !dec.Admitted {
-			outcome = "rejected"
-		}
-		s.metrics.admits.With(class.Name, outcome).Inc()
-	}
 	resp := AdmitResponse{
 		Victim:               req.Victim,
 		Aggressor:            req.Aggressor,

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/isol"
+	"repro/internal/obs/metrics"
 	"repro/internal/slo"
 )
 
@@ -13,20 +14,15 @@ import (
 // turns the recent admit/reject stream into a capacity-vs-demand scaling
 // signal. The decision math itself lives in internal/slo.
 
-// The qosd names of the slo admission vocabulary, kept for callers that
-// predate internal/slo; new code uses package slo.
-type (
-	SLOClass      = slo.SLOClass
-	AdmitDecision = slo.AdmitDecision
-)
-
-// EvaluateAdmission is slo.EvaluateAdmission.
-func EvaluateAdmission(deg, bound, mu, lambda float64, class SLOClass, headroom float64) AdmitDecision {
+// EvaluateAdmission is slo.EvaluateAdmission. perfbench/serve.go calls it
+// through this package.
+func EvaluateAdmission(deg, bound, mu, lambda float64, class slo.SLOClass, headroom float64) slo.AdmitDecision {
 	return slo.EvaluateAdmission(deg, bound, mu, lambda, class, headroom)
 }
 
-// DefaultSLOClasses is slo.DefaultSLOClasses.
-func DefaultSLOClasses() []SLOClass { return slo.DefaultSLOClasses() }
+// DefaultSLOClasses is slo.DefaultSLOClasses. perfbench/serve.go calls it
+// through this package.
+func DefaultSLOClasses() []slo.SLOClass { return slo.DefaultSLOClasses() }
 
 // SLOConfig parameterises the admission gate.
 type SLOConfig struct {
@@ -98,44 +94,37 @@ func SuggestIsolation(deg, bound, mu, lambda float64, class slo.SLOClass, headro
 	return nil
 }
 
-// sloClassCounters accumulates one class's lifetime decisions.
-type sloClassCounters struct {
-	admitted, rejected uint64
-}
-
 // sloAnalyzer is the daemon's saturation analyzer: lifetime per-class
-// counters plus a fixed-size ring of the most recent decisions, whose
-// rejection rate drives the capacity-vs-demand signal.
+// decision counters, kept in the registry's qosd_admit_decisions family
+// so the JSON and OpenMetrics views read one store, plus a fixed-size
+// ring of the most recent decisions, whose rejection rate drives the
+// capacity-vs-demand signal.
 type sloAnalyzer struct {
-	cfg SLOConfig
+	cfg    SLOConfig
+	admits *metrics.CounterVec // by (class, outcome)
 
-	mu      sync.Mutex
-	classes map[string]*sloClassCounters
-	ring    [DefaultSaturationWindow]bool // true = rejected
-	next    int
-	filled  int
+	mu     sync.Mutex
+	ring   [DefaultSaturationWindow]bool // true = rejected
+	next   int
+	filled int
 }
 
-func newSLOAnalyzer(cfg SLOConfig) *sloAnalyzer {
+func newSLOAnalyzer(cfg SLOConfig, reg *metrics.Registry) *sloAnalyzer {
 	return &sloAnalyzer{
-		cfg:     cfg,
-		classes: make(map[string]*sloClassCounters, len(cfg.Classes)),
+		cfg: cfg,
+		admits: reg.CounterVec("qosd_admit_decisions",
+			"SLO admission decisions, by class and outcome.", "class", "outcome"),
 	}
 }
 
 func (a *sloAnalyzer) record(class string, admitted bool) {
+	outcome := "admitted"
+	if !admitted {
+		outcome = "rejected"
+	}
+	a.admits.With(class, outcome).Inc()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := a.classes[class]
-	if c == nil {
-		c = &sloClassCounters{}
-		a.classes[class] = c
-	}
-	if admitted {
-		c.admitted++
-	} else {
-		c.rejected++
-	}
 	a.ring[a.next] = !admitted
 	a.next = (a.next + 1) % len(a.ring)
 	if a.filled < len(a.ring) {
@@ -148,10 +137,6 @@ func (a *sloAnalyzer) record(class string, admitted bool) {
 func (a *sloAnalyzer) rejectionRate() (float64, int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.rejectionRateLocked()
-}
-
-func (a *sloAnalyzer) rejectionRateLocked() (float64, int) {
 	if a.filled == 0 {
 		return 0, 0
 	}
@@ -166,12 +151,10 @@ func (a *sloAnalyzer) rejectionRateLocked() (float64, int) {
 
 // report snapshots the analyzer for the JSON /metrics payload.
 func (a *sloAnalyzer) report() *SLOMetricsReport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rate, window := a.rejectionRateLocked()
+	rate, window := a.rejectionRate()
 	out := &SLOMetricsReport{
 		Headroom: a.cfg.Headroom,
-		Classes:  make(map[string]SLOClassMetrics, len(a.classes)),
+		Classes:  make(map[string]SLOClassMetrics),
 		Saturation: SaturationReport{
 			Window:             window,
 			RejectionRate:      rate,
@@ -180,8 +163,15 @@ func (a *sloAnalyzer) report() *SLOMetricsReport {
 			ScaleDownThreshold: slo.DefaultScaleDownThreshold,
 		},
 	}
-	for name, c := range a.classes {
-		out.Classes[name] = SLOClassMetrics{Admitted: c.admitted, Rejected: c.rejected}
+	for _, lc := range a.admits.Snapshot() {
+		class, outcome := lc.Labels[0], lc.Labels[1]
+		c := out.Classes[class]
+		if outcome == "admitted" {
+			c.Admitted = lc.Count
+		} else {
+			c.Rejected = lc.Count
+		}
+		out.Classes[class] = c
 	}
 	return out
 }

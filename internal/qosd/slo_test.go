@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/isol"
+	"repro/internal/obs/metrics"
 	"repro/internal/slo"
 )
 
@@ -468,7 +469,7 @@ func TestAdmitMetrics(t *testing.T) {
 // full window size, under-reporting the rate by window/filled and
 // keeping the signal pinned at slo.SignalScaleDown during warm-up.
 func TestSaturationRateOverObservedNotCapacity(t *testing.T) {
-	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults())
+	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults(), metrics.NewRegistry())
 	rate, window := a.rejectionRate()
 	if rate != 0 || window != 0 {
 		t.Fatalf("empty analyzer: rate=%g window=%d, want 0, 0", rate, window)
@@ -491,7 +492,7 @@ func TestSaturationRateOverObservedNotCapacity(t *testing.T) {
 // slots are not double-counted.
 func TestSaturationRateWrappedRing(t *testing.T) {
 	const w = DefaultSaturationWindow
-	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults())
+	a := newSLOAnalyzer(SLOConfig{Classes: slo.DefaultSLOClasses()}.withDefaults(), metrics.NewRegistry())
 	// w rejections fill the ring...
 	for i := 0; i < w; i++ {
 		a.record("critical", false)

@@ -3,7 +3,6 @@ package simcache
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -120,34 +119,5 @@ func TestDoContextPreCancelled(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 0 || st.Entries != 0 {
 		t.Fatalf("dead context touched the cache: %+v", st)
-	}
-}
-
-// Do remains a thin wrapper: values flow and single-flight still holds.
-func TestDoDelegatesToDoContext(t *testing.T) {
-	c := New[int]()
-	k := KeyOf("wrap")
-	var computes int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, _, err := c.Do(k, func() (int, error) {
-				mu.Lock()
-				computes++
-				mu.Unlock()
-				time.Sleep(5 * time.Millisecond)
-				return 9, nil
-			})
-			if err != nil || v != 9 {
-				t.Errorf("Do = (%d, %v)", v, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if computes != 1 {
-		t.Fatalf("compute ran %d times, want 1 (single-flight)", computes)
 	}
 }

@@ -50,8 +50,8 @@ func KeyOf(parts ...any) Key {
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
-	// Hits counts Do calls served from a stored or in-flight computation;
-	// Misses counts Do calls that executed their compute function.
+	// Hits counts DoContext calls served from a stored or in-flight computation;
+	// Misses counts DoContext calls that executed their compute function.
 	Hits, Misses uint64
 	// Entries is the number of completed results currently stored.
 	Entries int
@@ -78,19 +78,13 @@ func New[V any]() *Cache[V] {
 	return &Cache[V]{entries: make(map[Key]*entry[V])}
 }
 
-// Do returns the cached value for k, computing it with compute on a miss.
-// Concurrent callers of the same missing key block on the single in-flight
-// computation and share its value (each counted as a hit). If compute
-// fails or panics, nothing is cached, waiters of that flight retry, and
-// the error (or panic) propagates to compute's caller. The returned bool
-// reports whether the value came from the cache or another flight.
-func (c *Cache[V]) Do(k Key, compute func() (V, error)) (V, bool, error) {
-	return c.DoContext(context.Background(), k, func(context.Context) (V, error) { return compute() })
-}
-
-// DoContext is Do with request-context propagation, the single-flight
-// form the qosd daemon and the context-aware profiling layer use. Two
-// properties matter for serving:
+// DoContext returns the cached value for k, computing it with compute on
+// a miss. Concurrent callers of the same missing key block on the single
+// in-flight computation and share its value (each counted as a hit). If
+// compute fails or panics, nothing is cached, waiters of that flight
+// retry, and the error (or panic) propagates to compute's caller. The
+// returned bool reports whether the value came from the cache or another
+// flight. Two properties matter for serving:
 //
 //   - A cancelled *leader* does not poison followers: compute receives the
 //     leader's ctx, and when it fails (including with ctx.Err()) nothing is
@@ -163,7 +157,7 @@ func (c *Cache[V]) DoContext(ctx context.Context, k Key, compute func(ctx contex
 }
 
 // fly runs one computation for k, publishing into e. On failure (error or
-// panic) the entry is removed so a later Do can retry.
+// panic) the entry is removed so a later DoContext can retry.
 func (c *Cache[V]) fly(k Key, e *entry[V], compute func() (V, error)) (v V, err error) {
 	completed := false
 	defer func() {

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,18 +10,19 @@ import (
 )
 
 func TestHitMiss(t *testing.T) {
+	ctx := context.Background()
 	c := New[int]()
 	k := KeyOf("a")
 	calls := 0
-	compute := func() (int, error) { calls++; return 42, nil }
+	compute := func(context.Context) (int, error) { calls++; return 42, nil }
 
-	v, hit, err := c.Do(k, compute)
+	v, hit, err := c.DoContext(ctx, k, compute)
 	if err != nil || hit || v != 42 {
-		t.Fatalf("first Do = (%d, hit=%v, %v), want (42, false, nil)", v, hit, err)
+		t.Fatalf("first DoContext = (%d, hit=%v, %v), want (42, false, nil)", v, hit, err)
 	}
-	v, hit, err = c.Do(k, compute)
+	v, hit, err = c.DoContext(ctx, k, compute)
 	if err != nil || !hit || v != 42 {
-		t.Fatalf("second Do = (%d, hit=%v, %v), want (42, true, nil)", v, hit, err)
+		t.Fatalf("second DoContext = (%d, hit=%v, %v), want (42, true, nil)", v, hit, err)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
@@ -32,14 +34,15 @@ func TestHitMiss(t *testing.T) {
 }
 
 func TestDistinctKeysDistinctValues(t *testing.T) {
+	ctx := context.Background()
 	c := New[string]()
 	for i := 0; i < 10; i++ {
 		i := i
-		v, hit, err := c.Do(KeyOf("item", i), func() (string, error) {
+		v, hit, err := c.DoContext(ctx, KeyOf("item", i), func(context.Context) (string, error) {
 			return fmt.Sprint("v", i), nil
 		})
 		if err != nil || hit || v != fmt.Sprint("v", i) {
-			t.Fatalf("Do(%d) = (%q, hit=%v, %v)", i, v, hit, err)
+			t.Fatalf("DoContext(%d) = (%q, hit=%v, %v)", i, v, hit, err)
 		}
 	}
 	if st := c.Stats(); st.Entries != 10 || st.Misses != 10 {
@@ -48,6 +51,7 @@ func TestDistinctKeysDistinctValues(t *testing.T) {
 }
 
 func TestSingleFlight(t *testing.T) {
+	ctx := context.Background()
 	c := New[int]()
 	k := KeyOf("shared")
 	var calls atomic.Int64
@@ -60,14 +64,14 @@ func TestSingleFlight(t *testing.T) {
 	// The leader blocks inside compute until release is closed, proving the
 	// other goroutines waited on its flight rather than computing.
 	go func() {
-		v, _, err := c.Do(k, func() (int, error) {
+		v, _, err := c.DoContext(ctx, k, func(context.Context) (int, error) {
 			close(started)
 			<-release
 			calls.Add(1)
 			return 7, nil
 		})
 		if err != nil || v != 7 {
-			t.Errorf("leader Do = (%d, %v)", v, err)
+			t.Errorf("leader DoContext = (%d, %v)", v, err)
 		}
 	}()
 	<-started
@@ -75,7 +79,7 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(k, func() (int, error) {
+			v, _, err := c.DoContext(ctx, k, func(context.Context) (int, error) {
 				calls.Add(1)
 				return -1, nil // must never run
 			})
@@ -98,18 +102,19 @@ func TestSingleFlight(t *testing.T) {
 }
 
 func TestErrorNotCached(t *testing.T) {
+	ctx := context.Background()
 	c := New[int]()
 	k := KeyOf("flaky")
 	boom := errors.New("boom")
 	calls := 0
 
-	_, _, err := c.Do(k, func() (int, error) { calls++; return 0, boom })
+	_, _, err := c.DoContext(ctx, k, func(context.Context) (int, error) { calls++; return 0, boom })
 	if !errors.Is(err, boom) {
-		t.Fatalf("Do error = %v, want boom", err)
+		t.Fatalf("DoContext error = %v, want boom", err)
 	}
-	v, hit, err := c.Do(k, func() (int, error) { calls++; return 5, nil })
+	v, hit, err := c.DoContext(ctx, k, func(context.Context) (int, error) { calls++; return 5, nil })
 	if err != nil || hit || v != 5 {
-		t.Fatalf("retry Do = (%d, hit=%v, %v), want (5, false, nil)", v, hit, err)
+		t.Fatalf("retry DoContext = (%d, hit=%v, %v), want (5, false, nil)", v, hit, err)
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2", calls)
@@ -120,6 +125,7 @@ func TestErrorNotCached(t *testing.T) {
 }
 
 func TestPanicReleasesWaiters(t *testing.T) {
+	ctx := context.Background()
 	c := New[int]()
 	k := KeyOf("panicky")
 
@@ -129,22 +135,23 @@ func TestPanicReleasesWaiters(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		_, _, _ = c.Do(k, func() (int, error) { panic("die") })
+		_, _, _ = c.DoContext(ctx, k, func(context.Context) (int, error) { panic("die") })
 	}()
 	// The key must be computable again afterwards.
-	v, hit, err := c.Do(k, func() (int, error) { return 9, nil })
+	v, hit, err := c.DoContext(ctx, k, func(context.Context) (int, error) { return 9, nil })
 	if err != nil || hit || v != 9 {
-		t.Fatalf("Do after panic = (%d, hit=%v, %v), want (9, false, nil)", v, hit, err)
+		t.Fatalf("DoContext after panic = (%d, hit=%v, %v), want (9, false, nil)", v, hit, err)
 	}
 }
 
 func TestGet(t *testing.T) {
+	ctx := context.Background()
 	c := New[int]()
 	k := KeyOf("g")
 	if _, ok := c.Get(k); ok {
 		t.Fatal("Get on empty cache reported ok")
 	}
-	_, _, _ = c.Do(k, func() (int, error) { return 3, nil })
+	_, _, _ = c.DoContext(ctx, k, func(context.Context) (int, error) { return 3, nil })
 	if v, ok := c.Get(k); !ok || v != 3 {
 		t.Fatalf("Get = (%d, %v), want (3, true)", v, ok)
 	}
@@ -181,6 +188,7 @@ func TestKeyOfSensitivity(t *testing.T) {
 // TestConcurrentMixed hammers one cache from many goroutines across
 // overlapping keys; run under -race this validates the synchronisation.
 func TestConcurrentMixed(t *testing.T) {
+	ctx := context.Background()
 	c := New[int]()
 	const (
 		goroutines = 16
@@ -194,7 +202,7 @@ func TestConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
 				id := (g*iterations + i*7) % keys
-				v, _, err := c.Do(KeyOf("k", id), func() (int, error) {
+				v, _, err := c.DoContext(ctx, KeyOf("k", id), func(context.Context) (int, error) {
 					if id%5 == 4 {
 						return 0, errors.New("transient")
 					}

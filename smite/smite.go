@@ -18,28 +18,29 @@
 // multicore simulator (see DESIGN.md for the substitution rationale); the
 // methodology layers are exactly the paper's.
 //
-// A minimal session:
+// A minimal session, in a function handed the caller's ctx:
 //
 //	sys, _ := smite.New(smite.IvyBridge.Config())
 //	a, _ := smite.WorkloadByName("444.namd")
 //	b, _ := smite.WorkloadByName("429.mcf")
-//	chA, _ := sys.Characterize(a, smite.SMT)
-//	chB, _ := sys.Characterize(b, smite.SMT)
-//	m, _ := sys.TrainFromSets(trainApps, smite.SMT)
+//	chA, _ := sys.CharacterizeContext(ctx, a, smite.SMT)
+//	chB, _ := sys.CharacterizeContext(ctx, b, smite.SMT)
+//	m, _, _ := sys.TrainFromSetsContext(ctx, trainApps, smite.SMT)
 //	deg := m.PredictPair(chA, chB) // namd's degradation next to mcf
 //
-// Every measurement method has a ...Context form taking a context.Context
-// that cancels in-flight simulation, and batch methods fan their
-// independent simulation cells across a worker pool sized by
-// WithParallelism — results are bit-identical at any worker count:
+// Every measurement method takes a context.Context that cancels in-flight
+// simulation, and batch methods fan their independent simulation cells
+// across a worker pool sized by Options.Parallelism — results are
+// bit-identical at any worker count. The Options fields are the one place
+// measurement settings live:
 //
-//	sys, _ := smite.New(smite.IvyBridge.Config(),
-//	    smite.WithOptions(smite.FastOptions()),
-//	    smite.WithParallelism(8),
-//	    smite.WithProgress(func(done, total int) { fmt.Printf("\r%d/%d", done, total) }))
-//	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+//	opts := smite.FastOptions()
+//	opts.Parallelism = 8
+//	opts.Progress = func(done, total int) { fmt.Printf("\r%d/%d", done, total) }
+//	sys, _ := smite.New(smite.IvyBridge.Config(), smite.WithOptions(opts))
+//	tctx, cancel := context.WithTimeout(ctx, time.Minute)
 //	defer cancel()
-//	chars, err := sys.CharacterizeAllContext(ctx, apps, smite.SMT)
+//	chars, err := sys.CharacterizeAllContext(tctx, apps, smite.SMT)
 package smite
 
 import (
@@ -183,64 +184,33 @@ type System struct {
 	prof *profile.Profiler
 }
 
-// sysOptions aggregates everything New configures.
-type sysOptions struct {
-	opts Options
-}
-
 // Option configures a System at construction (see New).
-type Option func(*sysOptions)
+type Option func(*Options)
 
-// WithOptions replaces the System's measurement options wholesale. Apply
-// it before the targeted options (WithCheck, WithParallelism, ...), which
-// modify whatever base it established.
+// WithOptions sets the System's measurement options: windows, the
+// runtime invariant checker (Check, CheckInterval), the worker count of
+// batch operations (Parallelism, 0 = GOMAXPROCS) and the progress
+// callback (Progress).
 func WithOptions(o Options) Option {
-	return func(dst *sysOptions) { dst.opts = o }
-}
-
-// WithCheck attaches the runtime invariant checker to every simulation the
-// System runs, validating the engine's conservation laws every interval
-// cycles (0 = engine default). Costs a few percent of simulation time.
-func WithCheck(interval uint64) Option {
-	return func(dst *sysOptions) {
-		dst.opts.Check = true
-		dst.opts.CheckInterval = interval
-	}
-}
-
-// WithParallelism bounds the worker pool that batch operations
-// (CharacterizeAll, MeasurePairs, TrainFromSets) fan their independent
-// simulation cells across (0 = GOMAXPROCS). Results are bit-identical at
-// any value; this is purely a throughput/footprint knob.
-func WithParallelism(n int) Option {
-	return func(dst *sysOptions) { dst.opts.Parallelism = n }
-}
-
-// WithProgress installs a progress callback for every characterization
-// (Characterize as well as CharacterizeAll and TrainFromSets) and for
-// MeasurePairs: done counts completed simulation cells of the current
-// batch, total the batch's cell count. It may be invoked concurrently from
-// worker goroutines.
-func WithProgress(fn func(done, total int)) Option {
-	return func(dst *sysOptions) { dst.opts.Progress = fn }
+	return func(dst *Options) { *dst = o }
 }
 
 // New builds a System for a machine configuration (use Machine.Config for
 // the two stock Table I machines). With no options it measures with
-// DefaultOptions; functional options adjust from there:
+// DefaultOptions:
 //
-//	sys, err := smite.New(smite.SandyBridgeEN.Config(),
-//	    smite.WithOptions(smite.FastOptions()),
-//	    smite.WithParallelism(8))
+//	opts := smite.FastOptions()
+//	opts.Parallelism = 8
+//	sys, err := smite.New(smite.SandyBridgeEN.Config(), smite.WithOptions(opts))
 func New(cfg MachineConfig, opts ...Option) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	so := sysOptions{opts: DefaultOptions()}
+	o := DefaultOptions()
 	for _, opt := range opts {
-		opt(&so)
+		opt(&o)
 	}
-	return &System{prof: profile.NewProfiler(cfg, so.opts)}, nil
+	return &System{prof: profile.NewProfiler(cfg, o)}, nil
 }
 
 // Machine returns the system's configuration.
@@ -297,65 +267,40 @@ func LoadSurrogate(path string) (*Surrogate, error) {
 	return set, err
 }
 
-// Characterize measures an application's sensitivity and contentiousness
-// along every sharing dimension by co-locating it with each Ruler.
-func (s *System) Characterize(spec *Spec, placement Placement) (Characterization, error) {
-	return s.prof.CharacterizeContext(context.Background(), spec, placement)
-}
-
-// CharacterizeContext is Characterize with cooperative cancellation: the
-// simulation aborts mid-window when ctx is cancelled.
+// CharacterizeContext measures an application's sensitivity and
+// contentiousness along every sharing dimension by co-locating it with
+// each Ruler. The simulation aborts mid-window when ctx is cancelled.
 func (s *System) CharacterizeContext(ctx context.Context, spec *Spec, placement Placement) (Characterization, error) {
 	return s.prof.CharacterizeContext(ctx, spec, placement)
 }
 
-// CharacterizeJob characterizes an arbitrary job (for example a TraceJob)
-// exactly like a stock workload.
-func (s *System) CharacterizeJob(job profile.Job, placement Placement) (Characterization, error) {
-	return s.prof.CharacterizeJobContext(context.Background(), job, placement)
+// CharacterizeJobContext characterizes an arbitrary job (for example a
+// TraceJob) exactly like a stock workload.
+func (s *System) CharacterizeJobContext(ctx context.Context, job profile.Job, placement Placement) (Characterization, error) {
+	return s.prof.CharacterizeJobContext(ctx, job, placement)
 }
 
-// CharacterizeAll characterizes a batch of applications concurrently.
-func (s *System) CharacterizeAll(specs []*Spec, placement Placement) ([]Characterization, error) {
-	return s.prof.CharacterizeAllContext(context.Background(), specs, placement)
-}
-
-// CharacterizeAllContext is CharacterizeAll with cooperative cancellation.
-// The batch's independent simulation cells fan across the WithParallelism
-// worker pool with index-addressed reduction, so results are bit-identical
-// to the sequential path at any worker count.
+// CharacterizeAllContext characterizes a batch of applications. The
+// batch's independent simulation cells fan across the Options.Parallelism
+// worker pool with index-addressed reduction, so results are
+// bit-identical to the sequential path at any worker count.
 func (s *System) CharacterizeAllContext(ctx context.Context, specs []*Spec, placement Placement) ([]Characterization, error) {
 	return s.prof.CharacterizeAllContext(ctx, specs, placement)
 }
 
-// MeasurePair measures the mutual degradation of two applications — the
-// ground truth used for model training and validation.
-func (s *System) MeasurePair(a, b *Spec, placement Placement) (PairMeasurement, error) {
-	return s.prof.MeasurePairContext(context.Background(), a, b, placement)
-}
-
-// MeasurePairContext is MeasurePair with cooperative cancellation.
+// MeasurePairContext measures the mutual degradation of two applications
+// — the ground truth used for model training and validation.
 func (s *System) MeasurePairContext(ctx context.Context, a, b *Spec, placement Placement) (PairMeasurement, error) {
 	return s.prof.MeasurePairContext(ctx, a, b, placement)
 }
 
-// MeasurePairs measures all distinct pairs between two sets.
-func (s *System) MeasurePairs(as, bs []*Spec, placement Placement) ([]PairMeasurement, error) {
-	return s.prof.MeasurePairsContext(context.Background(), as, bs, placement)
-}
-
-// MeasurePairsContext is MeasurePairs with cooperative cancellation and
+// MeasurePairsContext measures all distinct pairs between two sets, with
 // worker-pool fan-out (see CharacterizeAllContext).
 func (s *System) MeasurePairsContext(ctx context.Context, as, bs []*Spec, placement Placement) ([]PairMeasurement, error) {
 	return s.prof.MeasurePairsContext(ctx, as, bs, placement)
 }
 
-// SoloIPC returns an application's solo IPC (memoised).
-func (s *System) SoloIPC(spec *Spec) (float64, error) {
-	return s.SoloIPCContext(context.Background(), spec)
-}
-
-// SoloIPCContext is SoloIPC with cooperative cancellation.
+// SoloIPCContext returns an application's solo IPC (memoised).
 func (s *System) SoloIPCContext(ctx context.Context, spec *Spec) (float64, error) {
 	r, err := s.prof.SoloRunContext(ctx, profile.App(spec))
 	if err != nil {
@@ -421,15 +366,9 @@ func Train(chars []Characterization, pairs []PairMeasurement) (Model, error) {
 	return Model{inner: inner}, nil
 }
 
-// TrainFromSets characterizes the given applications, measures all their
-// pairwise co-locations and trains a model — the one-call training path.
-func (s *System) TrainFromSets(apps []*Spec, placement Placement) (Model, []Characterization, error) {
-	return s.TrainFromSetsContext(context.Background(), apps, placement)
-}
-
-// TrainFromSetsContext is TrainFromSets with cooperative cancellation and
-// worker-pool fan-out of both the characterization and pair-measurement
-// stages.
+// TrainFromSetsContext characterizes the given applications, measures
+// all their pairwise co-locations and trains a model — the one-call
+// training path. Both stages fan out across the worker pool.
 func (s *System) TrainFromSetsContext(ctx context.Context, apps []*Spec, placement Placement) (Model, []Characterization, error) {
 	chars, err := s.CharacterizeAllContext(ctx, apps, placement)
 	if err != nil {

@@ -2,6 +2,7 @@ package smite
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -49,6 +50,7 @@ func TestEndToEndSession(t *testing.T) {
 		t.Skip("simulation in short mode")
 	}
 	sys := testSystem(t)
+	ctx := context.Background()
 	namd, err := WorkloadByName("444.namd")
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +60,7 @@ func TestEndToEndSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ipc, err := sys.SoloIPC(namd)
+	ipc, err := sys.SoloIPCContext(ctx, namd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestEndToEndSession(t *testing.T) {
 		t.Errorf("namd solo IPC = %g", ipc)
 	}
 
-	ch, err := sys.Characterize(namd, SMT)
+	ch, err := sys.CharacterizeContext(ctx, namd, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestEndToEndSession(t *testing.T) {
 	// Train on a small set and sanity-check a prediction against ground
 	// truth.
 	train, _ := TrainTestSplit()
-	m, chars, err := sys.TrainFromSets(train[:8], SMT)
+	m, chars, err := sys.TrainFromSetsContext(ctx, train[:8], SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +93,12 @@ func TestEndToEndSession(t *testing.T) {
 		}
 	}
 
-	chLbm, err := sys.Characterize(lbm, SMT)
+	chLbm, err := sys.CharacterizeContext(ctx, lbm, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := m.PredictPair(ch, chLbm)
-	pm, err := sys.MeasurePair(namd, lbm, SMT)
+	pm, err := sys.MeasurePairContext(ctx, namd, lbm, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +153,18 @@ func TestTraceCharacterization(t *testing.T) {
 		t.Skip("simulation in short mode")
 	}
 	sys := testSystem(t)
+	ctx := context.Background()
 	spec, err := WorkloadByName("454.calculix")
 	if err != nil {
 		t.Fatal(err)
 	}
 	uops := CaptureTrace(spec, 200_000, 42)
 	job := TraceJob("calculix-trace", uops, 1, spec.FootprintBytes)
-	chTrace, err := sys.CharacterizeJob(job, SMT)
+	chTrace, err := sys.CharacterizeJobContext(ctx, job, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chGen, err := sys.Characterize(spec, SMT)
+	chGen, err := sys.CharacterizeContext(ctx, spec, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}

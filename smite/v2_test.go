@@ -8,45 +8,41 @@ import (
 	"testing"
 )
 
-// New with functional options must configure the profiler exactly like the
-// deprecated constructors plus manual field writes did.
+// The Options fields set through WithOptions — the checker, the worker
+// count and the progress callback — reach the profiler, and the callback
+// fires during a batch characterization.
 func TestNewFunctionalOptions(t *testing.T) {
 	var mu sync.Mutex
 	fired := 0
-	sys, err := New(IvyBridge.Config(),
-		WithOptions(FastOptions()),
-		WithCheck(2048),
-		WithParallelism(3),
-		WithProgress(func(done, total int) { mu.Lock(); fired++; mu.Unlock() }),
-	)
+	opts := FastOptions()
+	opts.Check = true
+	opts.CheckInterval = 2048
+	opts.Parallelism = 3
+	opts.Progress = func(done, total int) { mu.Lock(); fired++; mu.Unlock() }
+	sys, err := New(IvyBridge.Config(), WithOptions(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.Machine().Cores != IvyBridge.Config().Cores {
 		t.Fatalf("machine config not applied")
 	}
+	got := sys.prof.Options()
+	if !got.Check || got.CheckInterval != 2048 || got.Parallelism != 3 || got.Progress == nil {
+		t.Fatalf("profiler options = Check %v, CheckInterval %d, Parallelism %d, Progress set %v; want true, 2048, 3, true",
+			got.Check, got.CheckInterval, got.Parallelism, got.Progress != nil)
+	}
 	spec, err := WorkloadByName("444.namd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.CharacterizeAll([]*Spec{spec}, SMT); err != nil {
+	if _, err := sys.CharacterizeAllContext(context.Background(), []*Spec{spec}, SMT); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if fired == 0 {
-		t.Fatal("WithProgress callback never fired during CharacterizeAll")
+		t.Fatal("Progress callback never fired during CharacterizeAllContext")
 	}
-}
-
-// WithOptions replaces the base wholesale, so option order matters: a
-// targeted option before WithOptions is overwritten.
-func TestWithOptionsOrder(t *testing.T) {
-	sys, err := New(IvyBridge.Config(), WithParallelism(7), WithOptions(FastOptions()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sys // construction succeeding is the point; Parallelism is internal
 }
 
 // A stock Machine and its expanded Config build identical systems
@@ -65,11 +61,11 @@ func TestNewMachineConfigEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ia, err := a.SoloIPC(spec)
+	ia, err := a.SoloIPCContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ib, err := b.SoloIPC(spec)
+	ib, err := b.SoloIPCContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +83,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// Parallel CharacterizeAll must be bit-identical to sequential through the
+// Parallel CharacterizeAllContext must be bit-identical to sequential through the
 // public API (the tentpole acceptance criterion).
 func TestSystemCharacterizeAllParallelismInvariant(t *testing.T) {
 	if testing.Short() {
@@ -103,18 +99,20 @@ func TestSystemCharacterizeAllParallelismInvariant(t *testing.T) {
 	}
 	var baseline []Characterization
 	for _, workers := range []int{1, 8} {
-		sys, err := New(IvyBridge.Config(), WithOptions(FastOptions()), WithParallelism(workers))
+		opts := FastOptions()
+		opts.Parallelism = workers
+		sys, err := New(IvyBridge.Config(), WithOptions(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sys.CharacterizeAll(specs, SMT)
+		got, err := sys.CharacterizeAllContext(context.Background(), specs, SMT)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if baseline == nil {
 			baseline = got
 		} else if !reflect.DeepEqual(baseline, got) {
-			t.Fatalf("Parallelism=%d changed CharacterizeAll results", workers)
+			t.Fatalf("Parallelism=%d changed CharacterizeAllContext results", workers)
 		}
 	}
 }
