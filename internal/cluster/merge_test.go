@@ -7,19 +7,27 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/xrand"
 )
 
-// randomShardLogs draws k shard logs, each (At, Seq)-ordered as runShard
-// emits them. At comes from a handful of values so equal-At ties across
-// shards are the common case, and roughly one shard in four is empty.
-func randomShardLogs(r *xrand.Rand, k, maxLen int) [][]Placement {
-	logs := make([][]Placement, k)
+// randomShardLogs draws k compact shard logs, each (At, Seq)-ordered as
+// runShard emits them, with the Placements each shard's log stands for.
+// At comes from a handful of values so equal-At ties across shards are the
+// common case, roughly one shard in four is empty, and one decision in
+// eight is a rejection and one a migration.
+func randomShardLogs(r *xrand.Rand, k, maxLen int) ([]shardLog, [][]Placement) {
+	const machines = 100
+	logs := make([]shardLog, k)
+	want := make([][]Placement, k)
 	for s := range logs {
 		if r.Intn(4) == 0 {
 			continue
+		}
+		l := &logs[s]
+		l.lats = make([]int16, machines)
+		for i := range l.lats {
+			l.lats[i] = int16(r.Intn(3))
 		}
 		n := r.Intn(maxLen + 1)
 		ats := make([]float64, n)
@@ -28,12 +36,25 @@ func randomShardLogs(r *xrand.Rand, k, maxLen int) [][]Placement {
 		}
 		sort.Float64s(ats)
 		for i, at := range ats {
-			logs[s] = append(logs[s], Placement{
-				At: at, Shard: int32(s), Seq: uint32(i), Machine: int64(r.Intn(100)),
-			})
+			e := logEntry{At: at, Machine: int32(r.Intn(machines)), Batch: int16(r.Intn(4)), N: int16(1 + r.Intn(6))}
+			p := Placement{At: at, Shard: int32(s), Seq: uint32(i), Machine: int64(s) + int64(e.Machine)*int64(k),
+				Lat: l.lats[e.Machine], Batch: e.Batch, N: e.N}
+			switch r.Intn(8) {
+			case 0:
+				e.Machine, e.N = -1, 0
+				p.Machine, p.Lat, p.N = -1, -1, 0
+				l.entries = append(l.entries, e)
+			case 1:
+				from := int32(r.Intn(machines))
+				l.migs = append(l.migs, logMigration{logEntry: e, Pos: uint32(i), From: from})
+				p.Kind, p.From = PlacementMigrate, int64(s)+int64(from)*int64(k)
+			default:
+				l.entries = append(l.entries, e)
+			}
+			want[s] = append(want[s], p)
 		}
 	}
-	return logs
+	return logs, want
 }
 
 // sortedReference is the merge's specification: every shard log
@@ -63,13 +84,13 @@ func TestMergeLogsMatchesSort(t *testing.T) {
 	r := xrand.New(29)
 	for trial := 0; trial < 300; trial++ {
 		k := []int{1, 2, 3, 16, 17}[trial%5]
-		logs := randomShardLogs(r, k, 40)
+		logs, placements := randomShardLogs(r, k, 40)
 		n := 0
-		for _, l := range logs {
+		for _, l := range placements {
 			n += len(l)
 		}
 		got := mergeLogs(logs, n)
-		want := sortedReference(logs)
+		want := sortedReference(placements)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%d shards): merged %d entries, want %d", trial, k, len(got), len(want))
 		}
@@ -79,7 +100,7 @@ func TestMergeLogsMatchesSort(t *testing.T) {
 			}
 		}
 	}
-	if got := mergeLogs(make([][]Placement, 16), 0); len(got) != 0 {
+	if got := mergeLogs(make([]shardLog, 16), 0); len(got) != 0 {
 		t.Fatalf("empty shards merged to %d entries", len(got))
 	}
 	if got := mergeLogs(nil, 0); len(got) != 0 {
@@ -90,7 +111,9 @@ func TestMergeLogsMatchesSort(t *testing.T) {
 // TestShardLogsOrdered pins the precondition the merge relies on: every
 // shard log comes out of runShard (At, Seq)-nondecreasing, for every
 // policy on the golden configurations — including the closed-loop and
-// isolation runs, whose migrations append log entries mid-event.
+// isolation runs, whose migrations append log entries mid-event. The
+// arrival log holds exactly one entry per arrival in a slice sized to
+// them, so migrations never regrow it.
 func TestShardLogsOrdered(t *testing.T) {
 	base := func(p PolicyKind) func(*testing.T) SimConfig {
 		return func(t *testing.T) SimConfig {
@@ -133,16 +156,23 @@ func TestShardLogsOrdered(t *testing.T) {
 			migrations := 0
 			logs := make([][]Placement, len(rs))
 			for s, r := range rs {
-				logs[s] = r.log
-				for i, p := range r.log {
+				if len(r.log.entries) != r.arrived || cap(r.log.entries) != r.arrived {
+					t.Fatalf("shard %d: arrival log len %d cap %d for %d arrivals",
+						s, len(r.log.entries), cap(r.log.entries), r.arrived)
+				}
+				var c logCursor
+				for i := 0; i < r.log.len(); i++ {
+					logs[s] = append(logs[s], r.log.next(&c, s, len(rs)))
+				}
+				for i, p := range logs[s] {
 					if p.Kind == PlacementMigrate {
 						migrations++
 					}
 					if int(p.Shard) != s || int(p.Seq) != i {
 						t.Fatalf("shard %d entry %d carries shard %d seq %d", s, i, p.Shard, p.Seq)
 					}
-					if i > 0 && p.At < r.log[i-1].At {
-						t.Fatalf("shard %d entry %d at %g precedes entry %d at %g", s, i, p.At, i-1, r.log[i-1].At)
+					if i > 0 && p.At < logs[s][i-1].At {
+						t.Fatalf("shard %d entry %d at %g precedes entry %d at %g", s, i, p.At, i-1, logs[s][i-1].At)
 					}
 				}
 			}
@@ -186,18 +216,33 @@ func TestLogFreshPerCall(t *testing.T) {
 	}
 }
 
-// TestPlacementPointerFree pins the log entry's layout: 40 bytes and no
-// pointers, so the garbage collector never scans a shard log.
+// TestPlacementPointerFree pins the log records' layouts: the public
+// Placement is 40 bytes, the shard log's arrival entry 16 and its
+// migration record 24, and none holds a pointer, so the garbage collector
+// never scans a log.
 func TestPlacementPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(Placement{}); size != 40 {
-		t.Errorf("Placement is %d bytes, want 40", size)
+	for _, tc := range []struct {
+		v    any
+		size uintptr
+	}{{Placement{}, 40}, {logEntry{}, 16}, {logMigration{}, 24}} {
+		typ := reflect.TypeOf(tc.v)
+		if typ.Size() != tc.size {
+			t.Errorf("%s is %d bytes, want %d", typ.Name(), typ.Size(), tc.size)
+		}
+		checkPointerFree(t, typ)
 	}
-	typ := reflect.TypeOf(Placement{})
+}
+
+// checkPointerFree fails for every field of typ, embedded structs
+// included, that is not a plain number.
+func checkPointerFree(t *testing.T, typ reflect.Type) {
 	for i := 0; i < typ.NumField(); i++ {
 		switch f := typ.Field(i); f.Type.Kind() {
 		case reflect.Float64, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint32:
+		case reflect.Struct:
+			checkPointerFree(t, f.Type)
 		default:
-			t.Errorf("field %s is a %s; a log entry must hold no pointers", f.Name, f.Type.Kind())
+			t.Errorf("%s field %s is a %s; a log record must hold no pointers", typ.Name(), f.Name, f.Type.Kind())
 		}
 	}
 }
@@ -244,9 +289,10 @@ func BenchmarkMergeShards(b *testing.B) {
 	n := 0
 	for s := range rs {
 		at := 0.0
+		rs[s].log.lats = []int16{0}
 		for i := 0; i < perShard; i++ {
 			at += r.Float64() * 2 / perShard
-			rs[s].log = append(rs[s].log, Placement{At: at, Shard: int32(s), Seq: uint32(i)})
+			rs[s].log.entries = append(rs[s].log.entries, logEntry{At: at})
 		}
 		n += perShard
 	}

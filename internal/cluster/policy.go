@@ -242,10 +242,9 @@ func (s *shardSim) migrate(from int32, b int, at float64) {
 	s.owner[h] = target
 
 	s.res.migrations++
-	s.res.log = append(s.res.log, Placement{
-		At: at, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
-		Machine: s.globalID(target), Lat: tm.lat, Batch: int16(b), N: tm.n,
-		Kind: PlacementMigrate, From: s.globalID(from),
+	s.res.log.migs = append(s.res.log.migs, logMigration{
+		logEntry: logEntry{At: at, Machine: target, Batch: int16(b), N: tm.n},
+		Pos:      uint32(s.res.log.len()), From: from,
 	})
 }
 

@@ -141,13 +141,11 @@ func nested(field string, err error) error {
 // *ConfigError naming the field.
 func (c SimConfig) Validate() error {
 	c = c.withDefaults()
+	// The workload caps the application counts at math.MaxInt16; the
+	// generation, instance and level caps below complete the int16 indices
+	// of simMachine and Placement.
 	if err := nested("workload", c.Workload.Validate()); err != nil {
 		return err
-	}
-	// simMachine and Placement narrow app, generation, instance and level
-	// indices to int16.
-	if n := max(c.Workload.Lats, c.Workload.Batches); n > math.MaxInt16 {
-		return fieldError("workload", "%d applications exceed %d", n, math.MaxInt16)
 	}
 	if c.Shards < 0 {
 		return fieldError("shards", "must be non-negative, got %d", c.Shards)
@@ -294,7 +292,8 @@ func GenerateEvents(cfg SimConfig) ([][]clworkload.Event, error) {
 // Placement is one scheduler decision in the merged log. Rejections are
 // logged too (Machine = −1), so the log is a complete decision record and
 // bit-for-bit comparable across replays. An entry is 40 bytes and holds
-// no pointers, so the garbage collector never scans a log.
+// no pointers; a run keeps its decisions as 16-byte logEntry records and
+// rebuilds Placements only when Log is called.
 type Placement struct {
 	At      float64 `json:"t"`
 	Shard   int32   `json:"s"`
@@ -397,9 +396,9 @@ type SimResult struct {
 	// Summary reads its saturation thresholds.
 	SLOParams *SLOSimParams
 
-	// logs holds each shard's placement log in shard order; Log merges
+	// logs holds each shard's decision log in shard order; Log merges
 	// them.
-	logs [][]Placement
+	logs []shardLog
 }
 
 // Log returns the merged placement log, ordered by (At, Shard, Seq). The
@@ -407,10 +406,80 @@ type SimResult struct {
 // never pays for the merge, and each call returns a fresh slice.
 func (r SimResult) Log() []Placement {
 	n := 0
-	for _, l := range r.logs {
-		n += len(l)
+	for i := range r.logs {
+		n += r.logs[i].len()
 	}
 	return mergeLogs(r.logs, n)
+}
+
+// logEntry is one decision in a shard's log: 16 bytes and no pointers.
+// The shard, the sequence number (the entry's position), the global
+// machine id and the machine's latency app are implied by the log holding
+// it; shardLog.next rebuilds the Placement.
+type logEntry struct {
+	At      float64
+	Machine int32 // local machine id; −1 = rejected
+	Batch   int16
+	N       int16 // resident instances after placement; 0 = rejected
+}
+
+// logMigration is a migrate decision, kept apart from the arrivals so the
+// arrival log never regrows: Pos is its position in the shard's decision
+// sequence, From the local machine the instance left.
+type logMigration struct {
+	logEntry
+	Pos  uint32
+	From int32
+}
+
+// shardLog is one shard's decision record.
+type shardLog struct {
+	entries []logEntry     // one per job arrival, in order
+	migs    []logMigration // migrate decisions, Pos-ordered
+	lats    []int16        // latency app of each local machine
+}
+
+func (l *shardLog) len() int { return len(l.entries) + len(l.migs) }
+
+// logCursor walks a shardLog in decision order: e arrivals and m
+// migrations are behind it, so the next decision's position is e+m.
+type logCursor struct{ e, m int }
+
+// nextIsMigration reports whether the decision at c is a migration.
+func (l *shardLog) nextIsMigration(c logCursor) bool {
+	return c.m < len(l.migs) && int(l.migs[c.m].Pos) == c.e+c.m
+}
+
+// headAt is the time of the decision at c, +Inf past the end.
+func (l *shardLog) headAt(c logCursor) float64 {
+	switch {
+	case l.nextIsMigration(c):
+		return l.migs[c.m].At
+	case c.e < len(l.entries):
+		return l.entries[c.e].At
+	}
+	return math.Inf(1)
+}
+
+// next rebuilds the decision at c as shard's Placement in a fleet of
+// shards cells and advances c past it.
+func (l *shardLog) next(c *logCursor, shard, shards int) Placement {
+	p := Placement{Shard: int32(shard), Seq: uint32(c.e + c.m), Machine: -1, Lat: -1}
+	var e logEntry
+	if l.nextIsMigration(*c) {
+		mg := l.migs[c.m]
+		c.m++
+		e = mg.logEntry
+		p.Kind, p.From = PlacementMigrate, globalMachine(shard, shards, mg.From)
+	} else {
+		e = l.entries[c.e]
+		c.e++
+	}
+	p.At, p.Batch, p.N = e.At, e.Batch, e.N
+	if e.Machine >= 0 {
+		p.Machine, p.Lat = globalMachine(shard, shards, e.Machine), l.lats[e.Machine]
+	}
+	return p
 }
 
 // RunSim executes the discrete-event simulation over the given per-shard
@@ -473,7 +542,7 @@ type shardResult struct {
 	busyInt, ctxInt, baseInt      float64 // utilisation integrals
 	taxInt                        float64 // throughput-tax integral (PolicyIsolation)
 	peak                          float64
-	log                           []Placement
+	log                           shardLog
 }
 
 func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
@@ -481,7 +550,7 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 	if cfg.Isol != nil {
 		out.IsolationLevels = len(cfg.Isol.Levels)
 	}
-	out.logs = make([][]Placement, len(rs))
+	out.logs = make([]shardLog, len(rs))
 	var busy, ctx, base, tax float64
 	for i, r := range rs {
 		out.Events += r.events
@@ -521,13 +590,14 @@ func mergeShards(cfg SimConfig, rs []shardResult) SimResult {
 	return out
 }
 
-// mergeLogs merges the n entries of the shard logs into the global (At,
-// Shard, Seq) order. Each shard log is already (At, Seq)-ordered and
-// logs[i] is shard i's, so a k-way merge of the shard runs that breaks At
-// ties by shard index yields that order by construction. The merge is a
-// tournament (loser) tree over the shard cursors: each entry costs
-// ⌈log₂ k⌉ comparisons, and beyond the n-entry output it allocates O(k).
-func mergeLogs(logs [][]Placement, n int) []Placement {
+// mergeLogs merges the n decisions of the shard logs into the global (At,
+// Shard, Seq) order, rebuilding each as a Placement. Each shard log is
+// already (At, Seq)-ordered and logs[i] is shard i's, so a k-way merge of
+// the shard runs that breaks At ties by shard index yields that order by
+// construction. The merge is a tournament (loser) tree over the shard
+// cursors: each entry costs ⌈log₂ k⌉ comparisons, and beyond the n-entry
+// output it allocates O(k).
+func mergeLogs(logs []shardLog, n int) []Placement {
 	out := make([]Placement, n)
 	k := 1
 	for k < len(logs) {
@@ -537,11 +607,11 @@ func mergeLogs(logs [][]Placement, n int) []Placement {
 	// exhausted (or padding past len(rs)); At is always finite, so an
 	// exhausted leaf never wins while entries remain.
 	head := make([]float64, k)
-	next := make([]int, k)
+	cur := make([]logCursor, k)
 	for i := range head {
 		head[i] = math.Inf(1)
-		if i < len(logs) && len(logs[i]) > 0 {
-			head[i] = logs[i][0].At
+		if i < len(logs) {
+			head[i] = logs[i].headAt(cur[i])
 		}
 	}
 	before := func(a, b int) bool { return head[a] < head[b] || (head[a] == head[b] && a < b) }
@@ -562,13 +632,8 @@ func mergeLogs(logs [][]Placement, n int) []Placement {
 	}
 	w := win[1]
 	for o := range out {
-		log := logs[w]
-		out[o] = log[next[w]]
-		if next[w]++; next[w] < len(log) {
-			head[w] = log[next[w]].At
-		} else {
-			head[w] = math.Inf(1)
-		}
+		out[o] = logs[w].next(&cur[w], w, len(logs))
+		head[w] = logs[w].headAt(cur[w])
 		// Replay the winner's path to the root against the stored losers.
 		for i := (w + k) >> 1; i >= 1; i >>= 1 {
 			if before(loser[i], w) {
@@ -648,9 +713,10 @@ func (s *shardSim) genOf(global int64) int {
 	return len(cum) - 1
 }
 
-// globalID reconstructs the fleet-wide machine id from a local one.
-func (s *shardSim) globalID(local int32) int64 {
-	return int64(s.shard) + int64(local)*int64(s.cfg.Shards)
+// globalMachine is the fleet-wide id of shard's local machine: machines
+// are dealt to the shards cells round-robin.
+func globalMachine(shard, shards int, local int32) int64 {
+	return int64(shard) + int64(local)*int64(shards)
 }
 
 // account integrates utilisation up to now.
@@ -671,7 +737,7 @@ func (s *shardSim) account(now float64) {
 // addMachine brings a machine up running latency app lat.
 func (s *shardSim) addMachine(lat int) int32 {
 	local := int32(len(s.machines))
-	gen := s.genOf(s.globalID(local))
+	gen := s.genOf(globalMachine(s.shard, s.cfg.Shards, local))
 	s.machines = append(s.machines, simMachine{lat: int16(lat), batch: -1, gen: int16(gen)})
 	m := &s.machines[local]
 	s.upIDs = append(s.upIDs, local) // ids are monotone, so append keeps order
@@ -727,10 +793,7 @@ func (s *shardSim) place(local int32, b int, at, duration float64) {
 	s.busyNow++
 	s.res.placed++
 	s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
-	s.res.log = append(s.res.log, Placement{
-		At: at, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
-		Machine: s.globalID(local), Lat: m.lat, Batch: int16(b), N: m.n,
-	})
+	s.res.log.entries = append(s.res.log.entries, logEntry{At: at, Machine: local, Batch: int16(b), N: m.n})
 	s.adm.placed(local, b, s.w.tables[m.gen].Cell(int(m.lat), b, int(m.n)), at)
 }
 
@@ -780,14 +843,15 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 	s.buckets = sharedIheaps(s.nGens * s.nLevels * nLat * (nBatch + 1) * (s.maxInst + 1))
 	// Every arrival logs exactly one entry and takes at most one departure
 	// handle, so sizing both from the arrivals keeps the event loop from
-	// regrowing them (only migrations append beyond it).
+	// regrowing them; migrations log into their own list and reuse the
+	// migrated job's handle.
 	arrivals := 0
 	for i := range exo {
 		if exo[i].Kind == clworkload.KindJobArrive {
 			arrivals++
 		}
 	}
-	s.res.log = make([]Placement, 0, arrivals)
+	s.res.log.entries = make([]logEntry, 0, arrivals)
 	s.owner = make([]int32, 0, arrivals)
 
 	// Initial fleet: machines are dealt to shards round-robin, and their
@@ -835,20 +899,18 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 		ci++
 		switch ev.Kind {
 		case clworkload.KindMachineUp:
-			s.addMachine(ev.Lat)
+			s.addMachine(ev.Lat())
 			s.res.ups++
 		case clworkload.KindMachineDown:
-			s.dropMachine(ev.Rank)
+			s.dropMachine(ev.Rank())
 		case clworkload.KindJobArrive:
 			s.res.arrived++
-			if local := s.adm.pick(ev.Batch); local >= 0 {
-				s.place(local, ev.Batch, ev.At, ev.Duration)
+			b := ev.Batch()
+			if local := s.adm.pick(b); local >= 0 {
+				s.place(local, b, ev.At, ev.Duration())
 			} else {
 				s.res.rejected++
-				s.res.log = append(s.res.log, Placement{
-					At: ev.At, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
-					Machine: -1, Lat: -1, Batch: int16(ev.Batch),
-				})
+				s.res.log.entries = append(s.res.log.entries, logEntry{At: ev.At, Machine: -1, Batch: int16(b)})
 			}
 		default:
 			return shardResult{}, fmt.Errorf("unknown event kind %d at seq %d", ev.Kind, ev.Seq)
@@ -856,5 +918,9 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 	}
 	s.account(horizon)
 	s.res.machinesEnd = len(s.upIDs)
+	s.res.log.lats = make([]int16, len(s.machines))
+	for i := range s.machines {
+		s.res.log.lats[i] = s.machines[i].lat
+	}
 	return s.res, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -145,6 +146,30 @@ func TestGenerateEventsMatchesPerShard(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d shards: parallel streams differ from per-shard Generate", shards)
 		}
+	}
+}
+
+// TestGenerateEventsExactSize pins the generator's single allocation: on
+// a 2000-machine run it allocates at most 1.5 × 24 B per event, and every
+// shard's stream keeps its capacity within 5% of its length.
+func TestGenerateEventsExactSize(t *testing.T) {
+	cfg := synthSimConfig(t, 2000, 2, 7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	shards, err := GenerateEvents(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for s, ev := range shards {
+		n += len(ev)
+		if float64(cap(ev)) > 1.05*float64(len(ev)) {
+			t.Errorf("shard %d: cap %d for %d events", s, cap(ev), len(ev))
+		}
+	}
+	if perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(n); perEvent > 1.5*24 {
+		t.Errorf("generation allocated %.1f B per event over %d events, want ≤ %g", perEvent, n, 1.5*24)
 	}
 }
 

@@ -64,9 +64,39 @@ type traceHeader struct {
 	Events  int       `json:"events"`
 }
 
+// traceEvent is an event line on the wire: its shard, then the event's
+// fields under their own keys in this order, each kind's unused fields
+// omitted. The in-memory clworkload.Event packs the kind-specific fields
+// into shared slots; toTrace and event convert, and the reader checks the
+// wire values before event narrows them.
 type traceEvent struct {
-	Shard int `json:"s"`
-	clworkload.Event
+	Shard    int             `json:"s"`
+	At       float64         `json:"t"`
+	Seq      uint64          `json:"q"`
+	Kind     clworkload.Kind `json:"k"`
+	Lat      int             `json:"l,omitempty"`
+	Batch    int             `json:"b,omitempty"`
+	Duration float64         `json:"d,omitempty"`
+	Rank     float64         `json:"r,omitempty"`
+}
+
+func toTrace(shard int, ev clworkload.Event) traceEvent {
+	return traceEvent{Shard: shard, At: ev.At, Seq: uint64(ev.Seq), Kind: ev.Kind,
+		Lat: ev.Lat(), Batch: ev.Batch(), Duration: ev.Duration(), Rank: ev.Rank()}
+}
+
+// event is the in-memory form of a line checkEvent accepted.
+func (te traceEvent) event() clworkload.Event {
+	ev := clworkload.Event{At: te.At, Seq: uint32(te.Seq), Kind: te.Kind}
+	switch te.Kind {
+	case clworkload.KindMachineUp:
+		ev.App = int16(te.Lat)
+	case clworkload.KindMachineDown:
+		ev.Param = te.Rank
+	case clworkload.KindJobArrive:
+		ev.App, ev.Param = int16(te.Batch), te.Duration
+	}
+	return ev
 }
 
 // WriteTrace records a run's inputs: the normalised config and the
@@ -90,7 +120,7 @@ func WriteTrace(w io.Writer, cfg SimConfig, shards [][]clworkload.Event) error {
 	}
 	for s, evs := range shards {
 		for _, ev := range evs {
-			if err := enc.Encode(traceEvent{Shard: s, Event: ev}); err != nil {
+			if err := enc.Encode(toTrace(s, ev)); err != nil {
 				return err
 			}
 		}
@@ -141,11 +171,11 @@ func ReadTrace(r io.Reader) (SimConfig, [][]clworkload.Event, error) {
 		if ev.Shard < 0 || ev.Shard >= cfg.Shards {
 			return SimConfig{}, nil, fmt.Errorf("%w: event %d names shard %d of %d", ErrTraceCorrupt, n, ev.Shard, cfg.Shards)
 		}
-		if err := checkEvent(ev.Event, cfg.Workload, lastAt[ev.Shard]); err != nil {
+		if err := checkEvent(ev, cfg.Workload, lastAt[ev.Shard]); err != nil {
 			return SimConfig{}, nil, fmt.Errorf("%w: event %d: %v", ErrTraceCorrupt, n, err)
 		}
 		lastAt[ev.Shard] = ev.At
-		shards[ev.Shard] = append(shards[ev.Shard], ev.Event)
+		shards[ev.Shard] = append(shards[ev.Shard], ev.event())
 		n++
 	}
 	if err := sc.Err(); err != nil {
@@ -157,14 +187,21 @@ func ReadTrace(r io.Reader) (SimConfig, [][]clworkload.Event, error) {
 	return cfg, shards, nil
 }
 
-// checkEvent validates one event against the header's workload. RunSim
-// indexes tables and machine lists with these fields and merges shard
-// logs assuming each shard's stream is time-ordered, so a crafted value
-// must fail the read instead of panicking the replay.
-func checkEvent(ev clworkload.Event, w clworkload.Config, prevAt float64) error {
+// checkEvent validates one event line against the header's workload.
+// RunSim indexes tables and machine lists with these fields and merges
+// shard logs assuming each shard's stream is time-ordered, so a crafted
+// value must fail the read instead of panicking the replay. A field of
+// another kind, or a sequence number past uint32, has no slot in the
+// in-memory event, so it fails too rather than being dropped.
+func checkEvent(ev traceEvent, w clworkload.Config, prevAt float64) error {
+	up, down, job := ev.Kind == clworkload.KindMachineUp, ev.Kind == clworkload.KindMachineDown, ev.Kind == clworkload.KindJobArrive
 	switch {
-	case ev.Kind < clworkload.KindMachineUp || ev.Kind > clworkload.KindJobArrive:
+	case !up && !down && !job:
 		return fmt.Errorf("unknown kind %d", ev.Kind)
+	case ev.Seq > math.MaxUint32:
+		return fmt.Errorf("sequence number %d exceeds %d", ev.Seq, uint32(math.MaxUint32))
+	case ev.Lat != 0 && !up, ev.Batch != 0 && !job, ev.Duration != 0 && !job, ev.Rank != 0 && !down:
+		return fmt.Errorf("%v event carries another kind's field", ev.Kind)
 	case ev.Lat < 0 || ev.Lat >= w.Lats:
 		return fmt.Errorf("latency app %d outside [0,%d)", ev.Lat, w.Lats)
 	case ev.Batch < 0 || ev.Batch >= w.Batches:

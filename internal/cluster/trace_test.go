@@ -192,8 +192,10 @@ func TestTraceDegenerateRoundTrip(t *testing.T) {
 // ranks out of range index past its tables and machine lists (a batch
 // equal to Batches silently reads another latency app's cells), and an
 // unknown kind, a negative duration or a time running backwards breaks
-// the event model and the (At, Seq) order the shard merge relies on. Each
-// must fail the read with ErrTraceCorrupt naming the edited event.
+// the event model and the (At, Seq) order the shard merge relies on. A
+// field of another kind or a sequence number past uint32 would be dropped
+// or wrapped by the in-memory event. Each must fail the read with
+// ErrTraceCorrupt naming the edited event.
 func TestReadTraceRejectsBadEvents(t *testing.T) {
 	cfg := synthSimConfig(t, 40, 1, 31)
 	events, err := GenerateEvents(cfg)
@@ -207,7 +209,7 @@ func TestReadTraceRejectsBadEvents(t *testing.T) {
 	lines := strings.SplitAfter(rec.String(), "\n")
 	// craft rewrites the first event of the given kind (in file order)
 	// with edit and returns the trace and that event's number.
-	craft := func(t *testing.T, kind clworkload.Kind, edit func(*clworkload.Event)) (string, int) {
+	craft := func(t *testing.T, kind clworkload.Kind, edit func(*traceEvent)) (string, int) {
 		t.Helper()
 		for i, line := range lines[1:] {
 			if line == "" {
@@ -220,7 +222,7 @@ func TestReadTraceRejectsBadEvents(t *testing.T) {
 			if ev.Kind != kind {
 				continue
 			}
-			edit(&ev.Event)
+			edit(&ev)
 			data, err := json.Marshal(ev)
 			if err != nil {
 				t.Fatal(err)
@@ -235,16 +237,27 @@ func TestReadTraceRejectsBadEvents(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		kind clworkload.Kind
-		edit func(*clworkload.Event)
+		edit func(*traceEvent)
 	}{
-		{"lat out of range on machine-up", clworkload.KindMachineUp, func(e *clworkload.Event) { e.Lat = 99 }},
-		{"batch out of range on arrival", clworkload.KindJobArrive, func(e *clworkload.Event) { e.Batch = 7 }},
-		{"batch equal to batches", clworkload.KindJobArrive, func(e *clworkload.Event) { e.Batch = cfg.Workload.Batches }},
-		{"negative rank on machine-down", clworkload.KindMachineDown, func(e *clworkload.Event) { e.Rank = -0.5 }},
-		{"rank of one", clworkload.KindMachineDown, func(e *clworkload.Event) { e.Rank = 1 }},
-		{"unknown kind", clworkload.KindJobArrive, func(e *clworkload.Event) { e.Kind = 9 }},
-		{"negative duration", clworkload.KindJobArrive, func(e *clworkload.Event) { e.Duration = -1 }},
-		{"negative time", clworkload.KindJobArrive, func(e *clworkload.Event) { e.At = -1 }},
+		{"lat out of range on machine-up", clworkload.KindMachineUp, func(e *traceEvent) { e.Lat = 99 }},
+		{"batch out of range on arrival", clworkload.KindJobArrive, func(e *traceEvent) { e.Batch = 7 }},
+		{"batch equal to batches", clworkload.KindJobArrive, func(e *traceEvent) { e.Batch = cfg.Workload.Batches }},
+		{"negative rank on machine-down", clworkload.KindMachineDown, func(e *traceEvent) { e.Rank = -0.5 }},
+		{"rank of one", clworkload.KindMachineDown, func(e *traceEvent) { e.Rank = 1 }},
+		{"unknown kind", clworkload.KindJobArrive, func(e *traceEvent) { e.Kind = 9 }},
+		{"negative duration", clworkload.KindJobArrive, func(e *traceEvent) { e.Duration = -1 }},
+		{"negative time", clworkload.KindJobArrive, func(e *traceEvent) { e.At = -1 }},
+		// The in-memory event has no slot for another kind's field or a
+		// sequence number past uint32.
+		{"lat on arrival", clworkload.KindJobArrive, func(e *traceEvent) { e.Lat = 1 }},
+		{"lat on machine-down", clworkload.KindMachineDown, func(e *traceEvent) { e.Lat = 1 }},
+		{"batch on machine-up", clworkload.KindMachineUp, func(e *traceEvent) { e.Batch = 1 }},
+		{"batch on machine-down", clworkload.KindMachineDown, func(e *traceEvent) { e.Batch = 1 }},
+		{"duration on machine-up", clworkload.KindMachineUp, func(e *traceEvent) { e.Duration = 0.5 }},
+		{"duration on machine-down", clworkload.KindMachineDown, func(e *traceEvent) { e.Duration = 0.5 }},
+		{"rank on machine-up", clworkload.KindMachineUp, func(e *traceEvent) { e.Rank = 0.5 }},
+		{"rank on arrival", clworkload.KindJobArrive, func(e *traceEvent) { e.Rank = 0.5 }},
+		{"seq past uint32", clworkload.KindJobArrive, func(e *traceEvent) { e.Seq = math.MaxUint32 + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in, n := craft(t, tc.kind, tc.edit)
@@ -316,9 +329,11 @@ func fuzzSeedTrace(tb testing.TB, policy PolicyKind) []byte {
 }
 
 // FuzzReadTrace pins the trace reader's contract: it fails with a typed
-// error, or whatever it accepts replays through RunSim without a panic.
-// Replays of accepted traces with oversized fleets are skipped — the
-// property is about malformed input, not about running large worlds.
+// error, or whatever it accepts writes back to a trace that reads to the
+// same config and events and re-writes to the same bytes, and replays
+// through RunSim without a panic. Replays of accepted traces with
+// oversized fleets are skipped — the property is about malformed input,
+// not about running large worlds.
 func FuzzReadTrace(f *testing.F) {
 	f.Add(fuzzSeedTrace(f, PolicySMiTe))
 	f.Add(fuzzSeedTrace(f, PolicyClosedLoop))
@@ -331,6 +346,24 @@ func FuzzReadTrace(f *testing.F) {
 			}
 			return
 		}
+		var rec bytes.Buffer
+		if err := WriteTrace(&rec, cfg, events); err != nil {
+			t.Fatalf("accepted trace does not write back: %v", err)
+		}
+		cfg2, events2, err := ReadTrace(bytes.NewReader(rec.Bytes()))
+		if err != nil {
+			t.Fatalf("written-back trace does not read: %v", err)
+		}
+		if !reflect.DeepEqual(cfg2, cfg) || !reflect.DeepEqual(events2, events) {
+			t.Fatal("written-back trace reads to another config or other events")
+		}
+		var rerec bytes.Buffer
+		if err := WriteTrace(&rerec, cfg2, events2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rerec.Bytes(), rec.Bytes()) {
+			t.Fatal("re-written trace differs from the written-back bytes")
+		}
 		if cfg.Workload.Machines > 1000 || cfg.Shards > 64 {
 			t.Skip("fleet too large to replay in a fuzz iteration")
 		}
@@ -340,11 +373,13 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
-// TestInt16IndexBounds: simMachine and Placement narrow the latency-app,
-// batch-app, instance-count, generation and ladder-level indices to
-// int16, so Validate must reject every count past math.MaxInt16. A trace
-// with 40000 latency apps and one machine coming up on the last of them
-// used to pass ReadTrace and panic RunSim with a negative index.
+// TestInt16IndexBounds: the workload's events, simMachine and Placement
+// narrow the latency-app, batch-app, instance-count, generation and
+// ladder-level indices to int16, so Validate must reject every count past
+// math.MaxInt16. A trace with 40000 latency apps and one machine coming up
+// on the last of them used to pass ReadTrace and panic RunSim with a
+// negative index, and a direct clworkload.Generate call would narrow such
+// an index silently.
 func TestInt16IndexBounds(t *testing.T) {
 	const lats = math.MaxInt16 + 7233
 	tbl := &PredTable{
@@ -359,20 +394,28 @@ func TestInt16IndexBounds(t *testing.T) {
 		Shards:   1, Policy: PolicySMiTe, Target: 0.9,
 		ThreadsPerServer: 1, ContextsPerServer: 2, Table: tbl,
 	}
-	up := clworkload.Event{Kind: clworkload.KindMachineUp, At: 0.5, Lat: lats - 1}
 	var trace bytes.Buffer
 	enc := json.NewEncoder(&trace)
 	if err := enc.Encode(traceHeader{Format: TraceFormat, Version: TraceVersion, Config: cfg, Events: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(traceEvent{Event: up}); err != nil {
+	if err := enc.Encode(traceEvent{Kind: clworkload.KindMachineUp, At: 0.5, Lat: lats - 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadTrace(&trace); !errors.Is(err, ErrTraceCorrupt) {
 		t.Errorf("ReadTrace of a %d-latency-app trace = %v, want ErrTraceCorrupt", lats, err)
 	}
+	up := clworkload.Event{Kind: clworkload.KindMachineUp, At: 0.5, App: math.MaxInt16}
 	if _, err := RunSim(context.Background(), cfg, [][]clworkload.Event{{up}}, 1); err == nil {
 		t.Errorf("RunSim accepted %d latency apps", lats)
+	}
+	for _, w := range []clworkload.Config{
+		{Machines: 1, Lats: lats, Batches: 1, Horizon: 1, Seed: 1, Churn: 1},
+		{Machines: 1, Lats: 1, Batches: lats, Horizon: 1, Seed: 1, ArrivalRate: 1, MeanDuration: 1},
+	} {
+		if _, err := clworkload.Generate(w, 0, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprint(math.MaxInt16)) {
+			t.Errorf("Generate of %d×%d applications = %v, want a rejection naming %d", w.Lats, w.Batches, err, math.MaxInt16)
+		}
 	}
 
 	over := math.MaxInt16 + 1

@@ -52,21 +52,57 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Event is one exogenous cluster event. Fields not used by a kind stay
-// zero; Seq is shard-local and strictly increasing, so (At, Seq) totally
-// orders a shard's stream even when two events share a timestamp.
+// Event is one exogenous cluster event: a 24-byte record with no
+// pointers, so a fleet's streams cost 24 B per event and the garbage
+// collector never scans them. Each kind carries at most one application
+// index and one real parameter, so the two share a slot apiece; the
+// accessors Lat, Batch, Duration and Rank name them by kind. Seq is
+// shard-local and strictly increasing, so (At, Seq) totally orders a
+// shard's stream even when two events share a timestamp.
 type Event struct {
-	At   float64 `json:"t"`
-	Seq  uint64  `json:"q"`
-	Kind Kind    `json:"k"`
-	// Lat is the latency-application index of a new machine (KindMachineUp).
-	Lat int `json:"l,omitempty"`
-	// Batch is the batch-application index of a job (KindJobArrive).
-	Batch int `json:"b,omitempty"`
-	// Duration is the job's run time (KindJobArrive).
-	Duration float64 `json:"d,omitempty"`
-	// Rank in [0, 1) selects the decommission victim (KindMachineDown).
-	Rank float64 `json:"r,omitempty"`
+	At float64
+	// Param is the job's Duration (KindJobArrive) or the decommission
+	// Rank (KindMachineDown); zero for KindMachineUp.
+	Param float64
+	Seq   uint32
+	// App is the new machine's latency application (KindMachineUp) or the
+	// job's batch application (KindJobArrive); zero for KindMachineDown.
+	App  int16
+	Kind Kind
+}
+
+// Lat is the latency-application index of a new machine; zero for other
+// kinds.
+func (e Event) Lat() int {
+	if e.Kind != KindMachineUp {
+		return 0
+	}
+	return int(e.App)
+}
+
+// Batch is the batch-application index of a job; zero for other kinds.
+func (e Event) Batch() int {
+	if e.Kind != KindJobArrive {
+		return 0
+	}
+	return int(e.App)
+}
+
+// Duration is a job's run time; zero for other kinds.
+func (e Event) Duration() float64 {
+	if e.Kind != KindJobArrive {
+		return 0
+	}
+	return e.Param
+}
+
+// Rank in [0, 1) selects a decommission's victim among the machines alive
+// when it is processed; zero for other kinds.
+func (e Event) Rank() float64 {
+	if e.Kind != KindMachineDown {
+		return 0
+	}
+	return e.Param
 }
 
 // Config parameterises one generated cluster workload. Rates are
@@ -117,10 +153,10 @@ type Config struct {
 // burst state and mix drift are re-drawn per window.
 const windows = 24
 
-// MaxExpectedEvents caps a run's expected size (see expectedEvents). A
-// generated event holds 77–99 B of live heap, so the cap keeps a run's
-// event stream under about 1.6 GiB; the 10k-machine fleet benchmark
-// expects about 2.8M events.
+// MaxExpectedEvents caps a run's expected size (see expectedEvents). An
+// Event is 24 bytes and Generate sizes each stream within a few percent
+// of its length, so the cap keeps a run's event stream near 400 MiB; the
+// 10k-machine fleet benchmark expects about 2.8M events (it draws 0.9M).
 const MaxExpectedEvents = 1 << 24
 
 // ConfigError is the typed validation error of a cluster-run
@@ -149,8 +185,9 @@ func fieldError(field, format string, a ...any) error {
 // even then — the window length is derived from it, and a zero horizon
 // would poison the per-window rate math with NaNs. Every float must be
 // finite: a NaN or infinite rate never advances the generator's clock.
-// And the run's expected size must stay under MaxExpectedEvents, since
-// Generate materializes every event.
+// The application counts must fit Event.App's int16, and the run's
+// expected size must stay under MaxExpectedEvents, since Generate
+// materializes every event.
 func (c Config) Validate() error {
 	for _, f := range [...]struct {
 		field string
@@ -173,6 +210,10 @@ func (c Config) Validate() error {
 		return fieldError("lats", "need a positive application count, got %d", c.Lats)
 	case c.Batches <= 0:
 		return fieldError("batches", "need a positive application count, got %d", c.Batches)
+	case c.Lats > math.MaxInt16:
+		return fieldError("lats", "%d applications exceed %d", c.Lats, math.MaxInt16)
+	case c.Batches > math.MaxInt16:
+		return fieldError("batches", "%d applications exceed %d", c.Batches, math.MaxInt16)
 	case c.ArrivalRate < 0:
 		return fieldError("arrival_rate", "must be non-negative, got %g", c.ArrivalRate)
 	case c.ArrivalRate > 0 && c.MeanDuration <= 0:
@@ -280,6 +321,13 @@ func (st windowState) sampleBatch(r *xrand.Rand) int {
 // workload, time-ordered with strictly increasing Seq. The fleet-wide
 // arrival and churn rates are split evenly across shards; the same
 // (Config, shard, shards) always yields the same stream.
+//
+// The stream is allocated once: the window states are drawn up front, and
+// their expected arrivals plus the expected churn, padded by a few
+// standard deviations, size the slice. Arrivals and churn are Poisson, so
+// three standard deviations cover all but about one stream in 700 and
+// keep the spare capacity within a few percent of the length; a longer
+// stream still grows by append.
 func Generate(cfg Config, shard, shards int) ([]Event, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -290,12 +338,25 @@ func Generate(cfg Config, shard, shards int) ([]Event, error) {
 
 	jr := xrand.New(shardSeed(cfg.Seed, shard, 0x10B5)) // job stream
 	cr := xrand.New(shardSeed(cfg.Seed, shard, 0xC0DE)) // churn stream
-	walk := newWindowWalk(cfg, shard, shards)
 	window := cfg.Horizon / windows
-	curWin := 0
-	st := walk.state(0)
-
+	walk := newWindowWalk(cfg, shard, shards)
 	churnRate := cfg.Churn * float64(cfg.Machines) / float64(shards)
+	// t/window can round up to windows for an arrival just short of the
+	// horizon, so the walk keeps one state past the last window.
+	var states [windows + 1]windowState
+	mean := 2 * churnRate * cfg.Horizon
+	for w := range states {
+		states[w] = walk.state(w)
+		if w < windows {
+			mean += states[w].rate * window
+		}
+	}
+	var out []Event
+	if n := int(mean + 3*math.Sqrt(mean)); n > 0 {
+		out = make([]Event, 0, n)
+	}
+
+	st := states[0]
 	inf := math.Inf(1)
 	nextJob := jr.Exp(math.Max(st.rate, 1e-300))
 	nextUp, nextDown := inf, inf
@@ -304,8 +365,9 @@ func Generate(cfg Config, shard, shards int) ([]Event, error) {
 		nextDown = cr.Exp(churnRate)
 	}
 
-	var out []Event
-	var seq uint64
+	// Seq cannot wrap: MaxExpectedEvents keeps a stream's length far
+	// below 2³².
+	var seq uint32
 	emit := func(e Event) {
 		e.Seq = seq
 		seq++
@@ -318,21 +380,18 @@ func Generate(cfg Config, shard, shards int) ([]Event, error) {
 		}
 		switch {
 		case t == nextJob:
-			// Advance window state up to the arrival's window; the gap to
-			// the next arrival is drawn at the new window's rate.
-			for w := int(t / window); curWin < w; {
-				curWin++
-				st = walk.state(curWin)
-			}
+			// The gap to the next arrival is drawn at the arrival's window's
+			// rate.
+			st = states[int(t/window)]
 			emit(Event{At: t, Kind: KindJobArrive,
-				Batch:    st.sampleBatch(jr),
-				Duration: jr.Exp(1 / cfg.MeanDuration)})
+				App:   int16(st.sampleBatch(jr)),
+				Param: jr.Exp(1 / cfg.MeanDuration)})
 			nextJob = t + jr.Exp(math.Max(st.rate, 1e-300))
 		case t == nextUp:
-			emit(Event{At: t, Kind: KindMachineUp, Lat: cr.Intn(cfg.Lats)})
+			emit(Event{At: t, Kind: KindMachineUp, App: int16(cr.Intn(cfg.Lats))})
 			nextUp = t + cr.Exp(churnRate)
 		default:
-			emit(Event{At: t, Kind: KindMachineDown, Rank: cr.Float64()})
+			emit(Event{At: t, Kind: KindMachineDown, Param: cr.Float64()})
 			nextDown = t + cr.Exp(churnRate)
 		}
 	}

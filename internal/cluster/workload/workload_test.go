@@ -14,6 +14,44 @@ func baseConfig() Config {
 	}
 }
 
+// TestEventLayout pins the event record: 24 bytes and no pointers, so a
+// stream costs 24 B per event and the garbage collector never scans it.
+func TestEventLayout(t *testing.T) {
+	typ := reflect.TypeOf(Event{})
+	if typ.Size() != 24 {
+		t.Errorf("Event is %d bytes, want 24", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Float64, reflect.Uint32, reflect.Int16, reflect.Uint8:
+		default:
+			t.Errorf("field %s is a %s; an event must hold no pointers", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestEventAccessors: each kind reads its own fields from the shared
+// slots, and the other kinds' accessors read zero.
+func TestEventAccessors(t *testing.T) {
+	up := Event{Kind: KindMachineUp, App: 2}
+	down := Event{Kind: KindMachineDown, Param: 0.25}
+	job := Event{Kind: KindJobArrive, App: 3, Param: 1.5}
+	for _, tc := range []struct {
+		ev             Event
+		lat, batch     int
+		duration, rank float64
+	}{
+		{up, 2, 0, 0, 0},
+		{down, 0, 0, 0, 0.25},
+		{job, 0, 3, 1.5, 0},
+	} {
+		if tc.ev.Lat() != tc.lat || tc.ev.Batch() != tc.batch || tc.ev.Duration() != tc.duration || tc.ev.Rank() != tc.rank {
+			t.Errorf("%v: lat %d batch %d duration %g rank %g, want %d %d %g %g", tc.ev.Kind,
+				tc.ev.Lat(), tc.ev.Batch(), tc.ev.Duration(), tc.ev.Rank(), tc.lat, tc.batch, tc.duration, tc.rank)
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Diurnal = 0.5
@@ -56,7 +94,7 @@ func TestGenerateOrderedAndValid(t *testing.T) {
 		if e.At < 0 || e.At >= cfg.Horizon {
 			t.Fatalf("event %d at %g outside [0, %g)", i, e.At, cfg.Horizon)
 		}
-		if e.Seq != uint64(i) {
+		if e.Seq != uint32(i) {
 			t.Fatalf("event %d has seq %d", i, e.Seq)
 		}
 		if i > 0 && ev[i-1].At > e.At {
@@ -65,15 +103,15 @@ func TestGenerateOrderedAndValid(t *testing.T) {
 		kinds[e.Kind]++
 		switch e.Kind {
 		case KindJobArrive:
-			if e.Batch < 0 || e.Batch >= cfg.Batches || e.Duration <= 0 {
+			if e.Batch() < 0 || e.Batch() >= cfg.Batches || e.Duration() <= 0 {
 				t.Fatalf("bad job arrival %+v", e)
 			}
 		case KindMachineUp:
-			if e.Lat < 0 || e.Lat >= cfg.Lats {
+			if e.Lat() < 0 || e.Lat() >= cfg.Lats {
 				t.Fatalf("bad machine-up %+v", e)
 			}
 		case KindMachineDown:
-			if e.Rank < 0 || e.Rank >= 1 {
+			if e.Rank() < 0 || e.Rank() >= 1 {
 				t.Fatalf("bad machine-down %+v", e)
 			}
 		}
@@ -133,10 +171,10 @@ func TestMixDrift(t *testing.T) {
 		switch {
 		case e.Kind != KindJobArrive:
 		case e.At < window:
-			first[e.Batch]++
+			first[e.Batch()]++
 			nf++
 		case e.At >= cfg.Horizon-window:
-			last[e.Batch]++
+			last[e.Batch()]++
 			nl++
 		}
 	}
