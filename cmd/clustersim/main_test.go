@@ -3,13 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"io"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/experiments"
 )
 
 // Bad invocations must be rejected with an error (main turns any error into
@@ -20,6 +15,7 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 	}{
 		{"undefined flag", []string{"-bogus"}},
+		{"no -server flag", []string{"-server"}},
 		{"unknown scale", []string{"-scale", "huge"}},
 		{"unknown qos", []string{"-qos", "p50"}},
 		{"malformed target", []string{"-targets", "0.95,banana"}},
@@ -33,35 +29,6 @@ func TestFlagValidation(t *testing.T) {
 				t.Error("invalid invocation accepted")
 			}
 		})
-	}
-}
-
-// TestServerModeMatchesInProcess is the --server acceptance check: the
-// same lab run once with in-process predictions and once with every
-// SMiTe prediction routed through an embedded smited daemon must produce
-// bit-identical study results — same admissions, same utilisation, same
-// violation statistics, down to reflect.DeepEqual on the full result.
-func TestServerModeMatchesInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale-out study in short mode")
-	}
-	scale := experiments.TestScale()
-	scale.ServersPerApp = 12
-	lab := experiments.NewLab(scale)
-
-	for _, qos := range []cluster.QoSKind{cluster.QoSAvg, cluster.QoSTail} {
-		inProc, err := lab.ScaleOutStudyContext(context.Background(), qos, nil)
-		if err != nil {
-			t.Fatalf("%v in-process: %v", qos, err)
-		}
-		viaDaemon, err := scaleOutViaDaemon(context.Background(), lab, qos, io.Discard)
-		if err != nil {
-			t.Fatalf("%v via daemon: %v", qos, err)
-		}
-		if !reflect.DeepEqual(inProc, viaDaemon) {
-			t.Errorf("%v: daemon-served study diverged from in-process:\nin-process: %+v\nvia daemon: %+v",
-				qos, inProc, viaDaemon)
-		}
 	}
 }
 

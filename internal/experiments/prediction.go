@@ -153,18 +153,11 @@ type cloudStudy struct {
 	placementTables map[profile.Placement][]cloudEntry
 	smite           map[profile.Placement]model.Smite
 	pmu             map[profile.Placement]model.PMULinear
-	threads         int
 	latApps         []string
 	batchApps       []string
 	services        map[string]service.Service
 	// maxInstances per placement.
 	maxInstances map[profile.Placement]int
-	// servingSen and servingChars retain the SMT-placement inputs of the
-	// table's predictions (Sen(n) per latency app, full characterizations
-	// for the Con side) so ServingArtifactsContext can hand the exact prediction
-	// inputs to a qosd daemon.
-	servingSen   map[string][]profile.Characterization // lat app → index n-1
-	servingChars map[string]profile.Characterization
 }
 
 // cloudStudyData builds (and memoises) the CloudSuite study: models are
@@ -193,7 +186,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 		placementTables: make(map[profile.Placement][]cloudEntry),
 		smite:           make(map[profile.Placement]model.Smite),
 		pmu:             make(map[profile.Placement]model.PMULinear),
-		threads:         threads,
 		services:        make(map[string]service.Service),
 		maxInstances: map[profile.Placement]int{
 			profile.SMT: threads,
@@ -257,10 +249,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 		senByCount := make(map[string][]profile.Characterization, len(cloudApps)) // app → index n-1
 		for i, latSpec := range cloudApps {
 			senByCount[latSpec.Name] = occ[i]
-		}
-		if placement == profile.SMT {
-			cs.servingSen = senByCount
-			cs.servingChars = charBy
 		}
 		var entries []cloudEntry
 		for _, latSpec := range cloudApps {
@@ -395,42 +383,4 @@ func (r Fig12Result) String() string {
 	}
 	b.WriteString("paper: SMT SMiTe 1.79% vs PMU 17.45%; CMP SMiTe 1.36% vs PMU 27.01%\n")
 	return b.String()
-}
-
-// ServingArtifacts is everything a qosd daemon needs to reproduce the
-// SMT scale-out study's predictions: the exact characterizations the
-// table's predicted degradations were computed from, plus the trained
-// model and the study geometry.
-type ServingArtifacts struct {
-	// SenByCount maps each latency application to its partial-occupancy
-	// sensitivity profiles (index n-1 holds Sen(n)).
-	SenByCount map[string][]profile.Characterization
-	// Chars holds the full SMT characterizations by application name (the
-	// Con side of every prediction).
-	Chars map[string]profile.Characterization
-	// LatApps and BatchApps name the study's applications in table order.
-	LatApps, BatchApps []string
-	// Model is the trained Equation 3 model behind the predictions.
-	Model model.Smite
-	// Threads is the latency application's thread count per server;
-	// MaxInstances the largest co-located instance count.
-	Threads, MaxInstances int
-}
-
-// ServingArtifactsContext exports the SMT cloud study's prediction inputs
-// (see the ServingArtifacts type). It builds the cloud study on first use.
-func (l *Lab) ServingArtifactsContext(ctx context.Context) (ServingArtifacts, error) {
-	cs, err := l.cloudStudyData(ctx)
-	if err != nil {
-		return ServingArtifacts{}, err
-	}
-	return ServingArtifacts{
-		SenByCount:   cs.servingSen,
-		Chars:        cs.servingChars,
-		LatApps:      append([]string(nil), cs.latApps...),
-		BatchApps:    append([]string(nil), cs.batchApps...),
-		Model:        cs.smite[profile.SMT],
-		Threads:      cs.threads,
-		MaxInstances: cs.maxInstances[profile.SMT],
-	}, nil
 }

@@ -26,25 +26,22 @@ var scaleOutTargets = []float64{0.95, 0.90, 0.85}
 // Fig14And15AvgQoSContext runs the average-performance-QoS scale-out study
 // (utilization: Figure 14; violations: Figure 15).
 func (l *Lab) Fig14And15AvgQoSContext(ctx context.Context) (ScaleOutResult, error) {
-	return l.ScaleOutStudyContext(ctx, cluster.QoSAvg, nil)
+	return l.ScaleOutStudyContext(ctx, cluster.QoSAvg)
 }
 
 // Fig16And17TailQoSContext runs the tail-latency-QoS study over the two
 // services that report percentile latency (utilization: Figure 16;
 // violations: Figure 17).
 func (l *Lab) Fig16And17TailQoSContext(ctx context.Context) (ScaleOutResult, error) {
-	return l.ScaleOutStudyContext(ctx, cluster.QoSTail, nil)
+	return l.ScaleOutStudyContext(ctx, cluster.QoSTail)
 }
 
 // ScaleOutStudyContext runs a scale-out study under either QoS definition:
 // the SMT cloud study's degradations become one PredTable (BuildPredTable)
-// that every target × policy cell places on. A non-nil pred replaces the
-// table's baked-in predicted degradations as the SMiTe policy's
-// prediction source (cmd/clustersim --server passes a predictor backed by
-// a live qosd daemon); nil keeps the in-process predictions. Measured
-// degradations always come from the table. The underlying cloud-study
-// measurements abort mid-simulation when ctx is cancelled.
-func (l *Lab) ScaleOutStudyContext(ctx context.Context, qos cluster.QoSKind, pred cluster.Predictor) (ScaleOutResult, error) {
+// that every target × policy cell places on, with the predicted and
+// measured degradations both taken from the table. The underlying
+// cloud-study measurements abort mid-simulation when ctx is cancelled.
+func (l *Lab) ScaleOutStudyContext(ctx context.Context, qos cluster.QoSKind) (ScaleOutResult, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
 		return ScaleOutResult{}, err
@@ -67,7 +64,7 @@ func (l *Lab) ScaleOutStudyContext(ctx context.Context, qos cluster.QoSKind, pre
 			tbl.Set(e.lat, e.batch, e.n, cluster.Entry{Actual: e.actual, Predicted: e.predicted})
 		}
 	}
-	pt, err := cluster.BuildPredTable(ctx, tbl, cs.services, qos, pred, l.workers())
+	pt, err := cluster.BuildPredTable(ctx, tbl, cs.services, qos, nil, l.workers())
 	if err != nil {
 		return ScaleOutResult{}, err
 	}

@@ -87,14 +87,6 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGoldenJSON(t, "fig16", scaleOutJSON(fig16))
-
-	// The serving artifacts carry the cloud study's Sen(n) profiles and
-	// SMT characterizations verbatim.
-	serving, err := l.ServingArtifactsContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGoldenJSON(t, "serving", serving)
 }
 
 // TestExperimentsSmoke2 covers the drivers not exercised by the first

@@ -8,9 +8,9 @@
 // The package provides three pieces: a concurrent Registry of profiles
 // and the model, a Server exposing the decision endpoints with
 // production plumbing (bounded concurrency, per-request timeouts,
-// structured logging, typed JSON errors, metrics), and a Client used by
-// cmd/clustersim to replay the scale-out study through a live daemon.
-// cmd/smited is the standalone daemon built on this package.
+// structured logging, typed JSON errors, metrics), and a typed Client
+// for the wire API. cmd/smited is the standalone daemon built on this
+// package.
 package qosd
 
 import (

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -838,9 +839,16 @@ func uploadError(err error) *APIError {
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) *APIError {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(dst); err != nil {
 		return &APIError{Status: http.StatusBadRequest, Code: CodeBadJSON,
 			Message: fmt.Sprintf("decoding request body: %v", err)}
+	}
+	// The body is one JSON value: anything but whitespace after it (a
+	// second object, stray bytes) would otherwise be silently dropped.
+	if _, err := dec.Token(); err != io.EOF {
+		return &APIError{Status: http.StatusBadRequest, Code: CodeBadJSON,
+			Message: "decoding request body: data after the JSON value"}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package qosd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/slo"
 	"repro/smite"
 )
 
@@ -300,6 +302,70 @@ func TestBatchScoresCandidateSet(t *testing.T) {
 	}
 }
 
+// TestBatchServesPartialProfilesExactly is the daemon half of the
+// scale-out study's serving contract: Sen(n) profiles uploaded in the
+// persisted format under the lat#n convention, a model loaded from its
+// persisted bytes, and one /v1/batch request per instance count must
+// reproduce Model.PredictPartial bit for bit.
+func TestBatchServesPartialProfilesExactly(t *testing.T) {
+	const lat, threads = "web-search", 4
+	ctx := context.Background()
+	// Non-terminating binary fractions, so a lossy float round trip on
+	// either side of the wire would show.
+	var sens [threads]smite.Characterization
+	for n := 1; n <= threads; n++ {
+		sens[n-1].App = PartialProfileName(lat, n)
+		for d := range sens[n-1].Sen {
+			sens[n-1].Sen[d] = float64(n*(d+3)) / (7 * threads)
+		}
+	}
+	aggressors := []smite.Characterization{{App: "429.mcf"}, {App: "470.lbm"}}
+	for i := range aggressors {
+		for d := range aggressors[i].Con {
+			aggressors[i].Con[d] = float64(d+i+1) / 13
+		}
+	}
+	var coef [smite.NumDimensions]float64
+	for d := range coef {
+		coef[d] = float64(d+2) / 11
+	}
+	m := smite.NewModel(coef, -1.0/30)
+
+	reg := NewRegistry()
+	var buf bytes.Buffer
+	if err := smite.SaveModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(reg, Config{}).Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, ts.Client())
+	if _, err := c.UploadProfiles(ctx, append(sens[:], aggressors...)); err != nil {
+		t.Fatal(err)
+	}
+
+	for n := 1; n <= threads; n++ {
+		cands := make([]BatchCandidate, len(aggressors))
+		for i, a := range aggressors {
+			cands[i] = BatchCandidate{Aggressor: a.App, Instances: n}
+		}
+		got, err := c.Batch(ctx, BatchRequest{Victim: PartialProfileName(lat, n), Threads: threads, Candidates: cands})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(got.Results) != len(aggressors) {
+			t.Fatalf("n=%d: got %d results, want %d", n, len(got.Results), len(aggressors))
+		}
+		for i, res := range got.Results {
+			if want := m.PredictPartial(sens[n-1], aggressors[i], n, threads); res.Degradation != want {
+				t.Errorf("n=%d %s: served %v != in-process %v", n, res.Aggressor, res.Degradation, want)
+			}
+		}
+	}
+}
+
 func TestProfileUploadRoundTripAndInvalidation(t *testing.T) {
 	s, c := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -387,6 +453,45 @@ func TestRoutingErrorsAreTypedJSON(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != CodeBadJSON || apiErr.Status != 400 {
 		t.Errorf("malformed body: got %v, want bad_json/400", err)
+	}
+}
+
+// TestDecodeRejectsTrailingBytes: a JSON route reads exactly one value.
+// Bytes after it get bad_json instead of an answer to the first value;
+// trailing whitespace, such as the newline json.Encoder writes, is fine.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	_, ts := newObsServer(t, Config{SLO: &SLOConfig{Classes: slo.DefaultSLOClasses()}})
+	for _, route := range []struct{ name, body string }{
+		{"predict", `{"victim":"web-search","aggressor":"429.mcf"}`},
+		{"colocate", `{"victim":"web-search","aggressor":"429.mcf","qos_target":0.9}`},
+		{"admit", `{"victim":"web-search","aggressor":"429.mcf","class":"critical","queue":{"mu":1000,"lambda":600}}`},
+		{"batch", `{"victim":"web-search","candidates":[{"aggressor":"429.mcf"}]}`},
+	} {
+		body := route.body
+		for _, tc := range []struct {
+			name, suffix string
+			wantHTTP     int
+		}{
+			{"clean", "", 200},
+			{"trailing whitespace", " \n\t\r\n", 200},
+			{"trailing word", " trailing", 400},
+			{"second object", body, 400},
+			{"stray bracket", "]", 400},
+		} {
+			t.Run(route.name+"/"+tc.name, func(t *testing.T) {
+				status, resp := postJSON(t, ts.URL+"/v1/"+route.name, body+tc.suffix)
+				if status != tc.wantHTTP {
+					t.Fatalf("status %d, want %d: %s", status, tc.wantHTTP, resp)
+				}
+				if tc.wantHTTP == 200 {
+					return
+				}
+				var env errorEnvelope
+				if err := json.Unmarshal(resp, &env); err != nil || env.Error == nil || env.Error.Code != CodeBadJSON {
+					t.Errorf("body %s, want a bad_json envelope", resp)
+				}
+			})
+		}
 	}
 }
 
