@@ -1,9 +1,9 @@
-// Package repro's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation section, as indexed in
-// DESIGN.md. Each benchmark runs the corresponding experiment driver at
-// TestScale (reduced application sets and measurement windows exercising
-// the full code path); cmd/figures -scale full regenerates the paper-scale
-// numbers recorded in EXPERIMENTS.md.
+// Package repro's root benchmark harness: the layer benchmarks (engine
+// cycle loop, characterization, qosd, cluster simulator) and the two
+// figure-level drivers the CI bench gate times, Table I and Figure 2, at
+// TestScale. The other figures' TestScale results are pinned bit for bit
+// by internal/experiments/testdata/testscale_*.json; cmd/figures -scale
+// full regenerates the paper-scale numbers recorded in EXPERIMENTS.md.
 //
 // Macro-benchmarks take seconds per iteration; run with -benchtime=1x for
 // a single pass:
@@ -168,253 +168,6 @@ func BenchmarkFig2FunctionalUnitSenCon(b *testing.B) {
 		}
 		if len(r.Chars) == 0 {
 			b.Fatal("no characterizations")
-		}
-	}
-}
-
-// BenchmarkFig3PortUtilizationCDF regenerates Figures 3 and 5: aggregated
-// port-utilisation CDFs over all SPEC co-location pairs.
-func BenchmarkFig3PortUtilizationCDF(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig3And5PortUtilizationContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Pairs == 0 {
-			b.Fatal("no pairs measured")
-		}
-		b.ReportMetric(r.Median(4), "port4-median-util")
-	}
-}
-
-// BenchmarkFig4MemorySenCon regenerates Figure 4: memory-subsystem
-// sensitivity/contentiousness.
-func BenchmarkFig4MemorySenCon(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		if _, err := lab.Fig4MemorySubsystemContext(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5MemPortUtilizationCDF regenerates the memory-port half of
-// the utilisation study (same runs as Figure 3, reported for ports 2/3/4).
-func BenchmarkFig5MemPortUtilizationCDF(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig3And5PortUtilizationContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Median(2) < r.Median(4) {
-			// Load ports should dominate the store port (paper Finding).
-			b.Log("warning: store port median above load port median at this scale")
-		}
-	}
-}
-
-// BenchmarkFig6SenConSummary regenerates Figure 6: the full
-// seven-dimension characterization matrix.
-func BenchmarkFig6SenConSummary(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		if _, err := lab.Fig6SummaryContext(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7CorrelationMatrix regenerates Figure 7: |Pearson|
-// correlations across the 14 Sen/Con dimensions.
-func BenchmarkFig7CorrelationMatrix(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig7CorrelationContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.FracBelow80*100, "%pairs<0.8")
-	}
-}
-
-// BenchmarkFig9RulerValidation regenerates Figure 9's validation: Ruler
-// port saturation and working-set/interference linearity.
-func BenchmarkFig9RulerValidation(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig9RulerValidationContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, fu := range r.FU {
-			if fu.TargetUtil < 0.999 {
-				b.Fatalf("%s target utilisation %.4f", fu.Name, fu.TargetUtil)
-			}
-		}
-	}
-}
-
-// BenchmarkFig10SpecSMTPrediction regenerates Figure 10: SMT prediction
-// accuracy on SPEC (SMiTe vs the PMU baseline).
-func BenchmarkFig10SpecSMTPrediction(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig10SpecSMTContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.SmiteEval.MeanAbsError*100, "smite-err-%")
-		b.ReportMetric(r.PMUEval.MeanAbsError*100, "pmu-err-%")
-	}
-}
-
-// BenchmarkFig11SpecCMPPrediction regenerates Figure 11: CMP prediction
-// accuracy on SPEC.
-func BenchmarkFig11SpecCMPPrediction(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig11SpecCMPContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.SmiteEval.MeanAbsError*100, "smite-err-%")
-	}
-}
-
-// BenchmarkFig12CloudSuitePrediction regenerates Figure 12: CloudSuite
-// SMT/CMP prediction accuracy.
-func BenchmarkFig12CloudSuitePrediction(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig12CloudSuiteContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, fp := range r.PerPlacement {
-			if fp.SmiteErr >= fp.PMUErr {
-				b.Log("warning: SMiTe did not beat PMU at this scale")
-			}
-		}
-	}
-}
-
-// BenchmarkFig13TailLatencyPrediction regenerates Figure 13: p90 latency
-// prediction for the percentile-reporting services.
-func BenchmarkFig13TailLatencyPrediction(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig13TailLatencyContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Rows) == 0 {
-			b.Fatal("no percentile-reporting services")
-		}
-	}
-}
-
-// BenchmarkFig14UtilizationAvgQoS regenerates Figures 14/15: the
-// average-performance-QoS scale-out study.
-func BenchmarkFig14UtilizationAvgQoS(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig14And15AvgQoSContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Cells[0.85][cluster.PolicySMiTe].UtilizationGain*100, "gain85-%")
-	}
-}
-
-// BenchmarkFig15ViolationsAvgQoS re-reports the violation half of the
-// average-QoS study (same runs as Figure 14).
-func BenchmarkFig15ViolationsAvgQoS(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig14And15AvgQoSContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sm := r.Cells[0.90][cluster.PolicySMiTe]
-		rd := r.Cells[0.90][cluster.PolicyRandom]
-		b.ReportMetric(sm.ViolationFrac*100, "smite-viol-%")
-		b.ReportMetric(rd.ViolationFrac*100, "random-viol-%")
-	}
-}
-
-// BenchmarkFig16UtilizationTailQoS regenerates Figures 16/17: the
-// tail-latency-QoS scale-out study.
-func BenchmarkFig16UtilizationTailQoS(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig16And17TailQoSContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Cells[0.85][cluster.PolicySMiTe].UtilizationGain*100, "gain85-%")
-	}
-}
-
-// BenchmarkFig17ViolationsTailQoS re-reports the violation half of the
-// tail-QoS study.
-func BenchmarkFig17ViolationsTailQoS(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig16And17TailQoSContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Cells[0.90][cluster.PolicyRandom].ViolationFrac*100, "random-viol-%")
-	}
-}
-
-// BenchmarkFig18TCO regenerates Figure 18: the 3-year TCO analysis.
-func BenchmarkFig18TCO(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.Fig18TCOContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := 0.0
-		for _, row := range r.Rows {
-			if row.Improvement > best {
-				best = row.Improvement
-			}
-		}
-		b.ReportMetric(best*100, "best-tco-saving-%")
-	}
-}
-
-// BenchmarkModelAblation runs the model-comparison ablation: SMiTe NNLS/OLS,
-// a Bubble-Up-style single-metric model, and the PMU-baseline family.
-func BenchmarkModelAblation(b *testing.B) {
-	skipMacroBench(b)
-	for i := 0; i < b.N; i++ {
-		lab := newLab()
-		r, err := lab.ModelAblationContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Rows) != 6 {
-			b.Fatalf("expected 6 models, got %d", len(r.Rows))
 		}
 	}
 }

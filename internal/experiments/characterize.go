@@ -70,7 +70,7 @@ func (l *Lab) Fig6SummaryContext(ctx context.Context) (SenConResult, error) {
 }
 
 func (l *Lab) characterizeAllApps(ctx context.Context) ([]profile.Characterization, error) {
-	return l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, l.allAppsSet())
+	return l.Profiler(SandyBridgeEN).CharacterizeAllContext(ctx, l.allAppsSet(), profile.SMT)
 }
 
 // String renders the matrix.

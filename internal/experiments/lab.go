@@ -4,17 +4,13 @@
 // records paper-versus-measured values from a full-scale run.
 //
 // All drivers hang off a Lab, which owns the two machine configurations
-// (Table I), memoises application characterizations and trained models so
+// (Table I), shares one simulation-run cache between its two profilers so
 // that later figures reuse earlier figures' measurements, and scales every
 // experiment through a Scale so tests and benchmarks can run reduced
 // versions of the same code paths.
 package experiments
 
 import (
-	"context"
-	"sort"
-	"sync/atomic"
-
 	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/sim/isa"
@@ -77,7 +73,9 @@ func TestScale() Scale {
 	}
 }
 
-// Lab owns configurations, profilers and memoised measurements.
+// Lab owns the two machine configurations and their profilers. It keeps no
+// results of its own: every driver re-derives its inputs from the profilers'
+// shared run cache, which holds each simulation once.
 type Lab struct {
 	Scale Scale
 	// IVB is the Ivy Bridge configuration used for the SPEC experiments
@@ -88,17 +86,6 @@ type Lab struct {
 
 	ivb *profile.Profiler
 	snb *profile.Profiler
-
-	// chars memoises CharacterizationsContext (app name →
-	// characterization) and cloud the CloudSuite study. Both are
-	// single-flight per key (simcache.DoContext): a failed or cancelled
-	// leader caches nothing, and a waiter stops on its own context.
-	chars *simcache.Cache[map[string]profile.Characterization]
-	cloud *simcache.Cache[*cloudStudy]
-
-	// charRuns counts characterization fan-outs that actually executed
-	// (i.e. single-flight misses); the concurrency tests assert on it.
-	charRuns atomic.Uint64
 }
 
 // Machine selects one of the Lab's two configurations.
@@ -142,8 +129,6 @@ func NewLab(scale Scale) *Lab {
 		SNB:   snb,
 		ivb:   profile.NewProfiler(ivb, scale.Options),
 		snb:   profile.NewProfiler(snb, scale.Options),
-		chars: simcache.New[map[string]profile.Characterization](),
-		cloud: simcache.New[*cloudStudy](),
 	}
 }
 
@@ -163,14 +148,6 @@ func (l *Lab) Config(m Machine) isa.Config {
 	return l.SNB
 }
 
-// CacheStats reports the lab-wide simulation-cache counters.
-func (l *Lab) CacheStats() simcache.Stats {
-	if l.Scale.Options.Cache == nil {
-		return simcache.Stats{}
-	}
-	return l.Scale.Options.Cache.Stats()
-}
-
 // specSet truncates a SPEC set per the scale, sampling evenly across the
 // list so a reduced set keeps the population's diversity (compute-dense,
 // streaming and cache-thrashing applications all survive truncation).
@@ -188,8 +165,8 @@ func (l *Lab) specSet(set []*workload.Spec) []*workload.Spec {
 
 // cloudSet truncates the CloudSuite set per the scale. It does not touch
 // thread counts: clamping multithreaded applications to a reduced core
-// count happens where the specs become Jobs — CharacterizationsContext
-// places them with profile.Profiler.JobFor, and cloudStudyData sizes
+// count happens where the specs become Jobs — CharacterizeAllContext
+// places them with profile.Profiler.JobFor, and buildCloudStudy sizes
 // latency jobs from cloudThreads().
 func (l *Lab) cloudSet() []*workload.Spec {
 	set := workload.CloudSuiteApps()
@@ -202,40 +179,3 @@ func (l *Lab) cloudSet() []*workload.Spec {
 // cloudThreads is the per-server thread count of latency applications: one
 // per core (half load).
 func (l *Lab) cloudThreads() int { return l.SNB.Cores }
-
-// CharacterizationsContext returns (and memoises) the characterizations of
-// a set of applications on a machine under a placement. The memo key
-// derives from the set's contents, so equal sets share work regardless of
-// their order. The memo is single-flight per key: concurrent callers of
-// the same missing key block on one characterization fan-out and share its
-// result. The fan-out aborts mid-simulation when ctx is cancelled, a
-// waiter stops waiting when its own ctx dies, and a cancelled leader
-// caches nothing, so later callers retry.
-func (l *Lab) CharacterizationsContext(ctx context.Context, m Machine, placement profile.Placement, set []*workload.Spec) ([]profile.Characterization, error) {
-	names := make([]string, len(set))
-	for i, s := range set {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	key := simcache.KeyOf("experiments.characterizations/v1", m, placement, names)
-	byApp, _, err := l.chars.DoContext(ctx, key, func(ctx context.Context) (map[string]profile.Characterization, error) {
-		l.charRuns.Add(1)
-		chars, err := l.Profiler(m).CharacterizeAllContext(ctx, set, placement)
-		if err != nil {
-			return nil, err
-		}
-		byApp := make(map[string]profile.Characterization, len(chars))
-		for _, c := range chars {
-			byApp[c.App] = c
-		}
-		return byApp, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]profile.Characterization, len(set))
-	for i, s := range set {
-		out[i] = byApp[s.Name]
-	}
-	return out, nil
-}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/service"
-	"repro/internal/simcache"
 	"repro/internal/workload"
 )
 
@@ -81,7 +80,7 @@ func (l *Lab) specPrediction(ctx context.Context, placement profile.Placement, t
 func (l *Lab) specSplit(ctx context.Context, m Machine, placement profile.Placement) (train, test []model.PairObs, err error) {
 	even := l.specSet(workload.EvenSPEC())
 	odd := l.specSet(workload.OddSPEC())
-	chars, err := l.CharacterizationsContext(ctx, m, placement, append(append([]*workload.Spec{}, even...), odd...))
+	chars, err := l.Profiler(m).CharacterizeAllContext(ctx, append(append([]*workload.Spec{}, even...), odd...), placement)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -147,12 +146,10 @@ type cloudEntry struct {
 	pmuPred    float64
 }
 
-// cloudStudy caches the CloudSuite co-location measurements and models
-// shared by Figure 12 and the scale-out studies.
+// cloudStudy holds the CloudSuite co-location measurements and predictions
+// shared by Figures 12 and 13 and the scale-out studies.
 type cloudStudy struct {
 	placementTables map[profile.Placement][]cloudEntry
-	smite           map[profile.Placement]model.Smite
-	pmu             map[profile.Placement]model.PMULinear
 	latApps         []string
 	batchApps       []string
 	services        map[string]service.Service
@@ -160,20 +157,11 @@ type cloudStudy struct {
 	maxInstances map[profile.Placement]int
 }
 
-// cloudStudyData builds (and memoises) the CloudSuite study: models are
-// trained on odd-numbered SPEC pairs on the Sandy Bridge-EN machine, then
-// every (latency app, even-SPEC batch app, instance count) co-location is
-// measured and predicted under both placements (paper Section IV-B2).
-func (l *Lab) cloudStudyData(ctx context.Context) (*cloudStudy, error) {
-	// Single-flight, like CharacterizationsContext: the study is the most
-	// expensive memo in the Lab, so two concurrent figures must not both
-	// build it. The memo holds this one study, under the zero Key.
-	cs, _, err := l.cloud.DoContext(ctx, simcache.Key{}, l.buildCloudStudy)
-	return cs, err
-}
-
-// buildCloudStudy performs the actual measurement and training fan-out of
-// cloudStudyData.
+// buildCloudStudy builds the CloudSuite study: models are trained on
+// odd-numbered SPEC pairs on the Sandy Bridge-EN machine, then every
+// (latency app, even-SPEC batch app, instance count) co-location is
+// measured and predicted under both placements (paper Section IV-B2). Each
+// caller rebuilds it; the simulations behind it come from the run cache.
 func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 	threads := l.cloudThreads()
 	cloudApps := l.cloudSet()
@@ -184,8 +172,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 
 	cs := &cloudStudy{
 		placementTables: make(map[profile.Placement][]cloudEntry),
-		smite:           make(map[profile.Placement]model.Smite),
-		pmu:             make(map[profile.Placement]model.PMULinear),
 		services:        make(map[string]service.Service),
 		maxInstances: map[profile.Placement]int{
 			profile.SMT: threads,
@@ -210,7 +196,7 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 	for _, placement := range []profile.Placement{profile.SMT, profile.CMP} {
 		allApps := append(append([]*workload.Spec{}, train...), batch...)
 		allApps = append(allApps, cloudApps...)
-		chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, placement, allApps)
+		chars, err := p.CharacterizeAllContext(ctx, allApps, placement)
 		if err != nil {
 			return nil, err
 		}
@@ -226,8 +212,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.smite[placement] = smite
-		cs.pmu[placement] = pmuM
 
 		latThreads := threads
 		if placement == profile.CMP {
@@ -321,7 +305,7 @@ type Fig12Row struct {
 // CloudSuite latency-sensitive applications under SMT and CMP co-location
 // with SPEC batch applications on the Sandy Bridge-EN machine.
 func (l *Lab) Fig12CloudSuiteContext(ctx context.Context) (Fig12Result, error) {
-	cs, err := l.cloudStudyData(ctx)
+	cs, err := l.buildCloudStudy(ctx)
 	if err != nil {
 		return Fig12Result{}, err
 	}

@@ -2,10 +2,17 @@ package experiments
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 )
+
+// testScaleLab is the one TestScale Lab the driver tests share, so a
+// simulation that several drivers need (the Ivy Bridge SPEC split, say)
+// runs once per test binary. TestCheckedSmokePath keeps its own Lab: its
+// checker option is part of every run-cache key.
+var testScaleLab = sync.OnceValue(func() *Lab { return NewLab(TestScale()) })
 
 // TestExperimentsSmoke runs every figure driver at TestScale and validates
 // shape-level properties against the paper.
@@ -13,7 +20,7 @@ func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment drivers in short mode")
 	}
-	l := NewLab(TestScale())
+	l := testScaleLab()
 
 	t1 := l.Table1()
 	if len(t1.Machines) != 2 {
@@ -96,7 +103,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment drivers in short mode")
 	}
-	l := NewLab(TestScale())
+	l := testScaleLab()
 
 	ports, err := l.Fig3And5PortUtilizationContext(context.Background())
 	if err != nil {
@@ -156,7 +163,7 @@ func TestModelAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation in short mode")
 	}
-	l := NewLab(TestScale())
+	l := testScaleLab()
 	r, err := l.ModelAblationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +189,7 @@ func TestCrossMachine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-machine study in short mode")
 	}
-	l := NewLab(TestScale())
+	l := testScaleLab()
 	r, err := l.CrossMachineContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

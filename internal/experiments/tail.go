@@ -48,12 +48,11 @@ type Fig13Result struct {
 // co-locations; the "measured" p90 comes from the queue simulator driven by
 // the measured degradation.
 func (l *Lab) Fig13TailLatencyContext(ctx context.Context) (Fig13Result, error) {
-	cs, err := l.cloudStudyData(ctx)
+	cs, err := l.buildCloudStudy(ctx)
 	if err != nil {
 		return Fig13Result{}, err
 	}
-	set := l.allAppsSet()
-	chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, set)
+	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
 		return Fig13Result{}, err
 	}

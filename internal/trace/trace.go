@@ -12,8 +12,10 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/sim/isa"
 )
@@ -32,7 +34,17 @@ const (
 	flagTaken
 	flagICache
 	flagITLB
+
+	// flagsKnown is every bit the writer may set.
+	flagsKnown = flagITLB<<1 - 1
 )
+
+// ErrCorrupt marks input that Writer cannot have produced: a bad header, a
+// truncated uop, an unknown kind or flag bit, a field the uop's kind never
+// carries, a zero dependency, a non-shortest varint or a value wider than
+// its Uop field. ReadAll wraps it in every such error, so a trace it
+// accepts writes back to the same bytes.
+var ErrCorrupt = errors.New("trace: corrupt trace")
 
 // Writer encodes micro-ops to an output stream.
 type Writer struct {
@@ -119,18 +131,19 @@ func (t *Writer) Count() uint64 { return t.count }
 // Flush pushes buffered bytes to the underlying writer.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
-// ReadAll decodes a whole trace.
+// ReadAll decodes a whole trace. Malformed input yields an error wrapping
+// ErrCorrupt; an error of r itself is wrapped instead.
 func ReadAll(r io.Reader) ([]isa.Uop, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+		return nil, readErr("header", err)
 	}
 	if [4]byte{hdr[0], hdr[1], hdr[2], hdr[3]} != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", hdr[:4])
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
 	}
 	if hdr[4] != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[4])
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, hdr[4])
 	}
 	var out []isa.Uop
 	for {
@@ -139,42 +152,54 @@ func ReadAll(r io.Reader) ([]isa.Uop, error) {
 			return out, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading uop %d: %w", len(out), err)
+			return nil, readErr(fmt.Sprintf("uop %d", len(out)), err)
 		}
 		if kindB >= byte(isa.NumKinds) {
-			return nil, fmt.Errorf("trace: uop %d has invalid kind %d", len(out), kindB)
+			return nil, fmt.Errorf("%w: uop %d has invalid kind %d", ErrCorrupt, len(out), kindB)
 		}
 		flags, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("trace: reading uop %d: %w", len(out), err)
+			return nil, readErr(fmt.Sprintf("uop %d flags", len(out)), err)
 		}
 		u := isa.Uop{Kind: isa.UopKind(kindB)}
-		read := func() (uint64, error) { return binary.ReadUvarint(br) }
-		if flags&flagDep1 != 0 {
-			v, err := read()
+		// The writer sets the address flag exactly on loads and stores, the
+		// branch flag exactly on branches and the taken bit only beside it.
+		mem := u.Kind == isa.Load || u.Kind == isa.Store
+		branch := u.Kind == isa.Branch
+		if flags&^flagsKnown != 0 || (flags&flagAddr != 0) != mem ||
+			(flags&flagBranch != 0) != branch || (!branch && flags&flagTaken != 0) {
+			return nil, fmt.Errorf("%w: uop %d: flags %#02x do not fit kind %v", ErrCorrupt, len(out), flags, u.Kind)
+		}
+		field := func(name string, min, max uint64) (uint64, error) {
+			v, err := uvarint(br, min, max)
 			if err != nil {
-				return nil, fmt.Errorf("trace: uop %d dep1: %w", len(out), err)
+				return 0, readErr(fmt.Sprintf("uop %d %s", len(out), name), err)
+			}
+			return v, nil
+		}
+		if flags&flagDep1 != 0 {
+			v, err := field("dep1", 1, math.MaxUint16)
+			if err != nil {
+				return nil, err
 			}
 			u.Dep1 = uint16(v)
 		}
 		if flags&flagDep2 != 0 {
-			v, err := read()
+			v, err := field("dep2", 1, math.MaxUint16)
 			if err != nil {
-				return nil, fmt.Errorf("trace: uop %d dep2: %w", len(out), err)
+				return nil, err
 			}
 			u.Dep2 = uint16(v)
 		}
-		if flags&flagAddr != 0 {
-			v, err := read()
-			if err != nil {
-				return nil, fmt.Errorf("trace: uop %d addr: %w", len(out), err)
+		if mem {
+			if u.Addr, err = field("addr", 0, math.MaxUint64); err != nil {
+				return nil, err
 			}
-			u.Addr = v
 		}
-		if flags&flagBranch != 0 {
-			v, err := read()
+		if branch {
+			v, err := field("brtag", 0, math.MaxUint32)
 			if err != nil {
-				return nil, fmt.Errorf("trace: uop %d brtag: %w", len(out), err)
+				return nil, err
 			}
 			u.BrTag = uint32(v)
 			u.Taken = flags&flagTaken != 0
@@ -183,6 +208,43 @@ func ReadAll(r io.Reader) ([]isa.Uop, error) {
 		u.ITLBMiss = flags&flagITLB != 0
 		out = append(out, u)
 	}
+}
+
+// uvarint reads one varint in the shortest form binary.PutUvarint writes,
+// requiring min <= v <= max. Any other encoding is ErrCorrupt.
+func uvarint(br io.ByteReader, min, max uint64) (uint64, error) {
+	var v uint64
+	for i := 0; ; i++ {
+		b, err := br.ReadByte()
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, err
+		}
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, fmt.Errorf("%w: varint overflows 64 bits", ErrCorrupt)
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			switch {
+			case b == 0 && i > 0:
+				return 0, fmt.Errorf("%w: varint not in shortest form", ErrCorrupt)
+			case v < min || v > max:
+				return 0, fmt.Errorf("%w: %d outside [%d, %d]", ErrCorrupt, v, min, max)
+			}
+			return v, nil
+		}
+	}
+}
+
+// readErr labels a read failure at what: input that ends early is
+// ErrCorrupt, any other reader error passes through wrapped.
+func readErr(what string, err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: %s truncated", ErrCorrupt, what)
+	}
+	return fmt.Errorf("trace: reading %s: %w", what, err)
 }
 
 // Source is anything producing micro-ops (engine.Stream-shaped).

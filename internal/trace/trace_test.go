@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +84,139 @@ func TestBadHeader(t *testing.T) {
 	if _, err := ReadAll(bytes.NewReader([]byte{'S', 'M', 'T', 'R', 1, 200, 0})); err == nil {
 		t.Error("invalid kind accepted")
 	}
+}
+
+// encodeUop hand-builds one uop record: kind byte, flags byte, then the
+// given varint fields in order.
+func encodeUop(kind isa.UopKind, flags byte, fields ...uint64) []byte {
+	b := []byte{byte(kind), flags}
+	for _, v := range fields {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// Every input Writer cannot produce is rejected with ErrCorrupt. The
+// decoder used to truncate wide dependency and branch-tag values, ignore
+// flag bit 7 and the taken bit off branches, read an address or branch tag
+// on any kind, default a missing one to zero and accept zero dependencies
+// and padded varints, all of which decode to uops that write back to other
+// bytes.
+func TestReadAllRejectsCorrupt(t *testing.T) {
+	hdr := []byte{'S', 'M', 'T', 'R', version}
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"dep1 above uint16", encodeUop(isa.IntAdd, flagDep1, math.MaxUint16+1)},
+		{"dep2 above uint16", encodeUop(isa.IntAdd, flagDep2, 1<<20)},
+		{"zero dep1", encodeUop(isa.IntAdd, flagDep1, 0)},
+		{"zero dep2", encodeUop(isa.IntAdd, flagDep2, 0)},
+		{"brtag above uint32", encodeUop(isa.Branch, flagBranch, math.MaxUint32+1)},
+		{"flag bit 7", encodeUop(isa.IntAdd, 1<<7)},
+		{"addr on an ALU uop", encodeUop(isa.IntAdd, flagAddr, 64)},
+		{"brtag on a load", encodeUop(isa.Load, flagAddr|flagBranch, 64, 3)},
+		{"taken bit off a branch", encodeUop(isa.FPMul, flagTaken)},
+		{"load without addr", encodeUop(isa.Load, 0)},
+		{"branch without brtag", encodeUop(isa.Branch, 0)},
+		{"padded varint", append(encodeUop(isa.Store, flagAddr), 0x81, 0x00)},
+		{"varint past 64 bits", append(encodeUop(isa.Load, flagAddr), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02)},
+		{"truncated varint", append(encodeUop(isa.Load, flagAddr), 0x80)},
+		{"missing flags byte", []byte{byte(isa.IntAdd)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A valid uop comes first, so the bad one is not at offset 0.
+			in := append(append([]byte{}, hdr...), encodeUop(isa.FPAdd, 0)...)
+			in = append(in, tc.body...)
+			uops, err := ReadAll(bytes.NewReader(in))
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadAll = %+v, %v; want an ErrCorrupt error", uops, err)
+			}
+		})
+	}
+}
+
+// The widest value of every field survives the round trip.
+func TestRoundTripFieldMaxima(t *testing.T) {
+	in := []isa.Uop{
+		{Kind: isa.IntAdd, Dep1: math.MaxUint16, Dep2: 1},
+		{Kind: isa.Load, Dep2: math.MaxUint16, Addr: math.MaxUint64},
+		{Kind: isa.Store},
+		{Kind: isa.Branch, BrTag: math.MaxUint32, Taken: true, ICacheMiss: true, ITLBMiss: true},
+		{Kind: isa.Branch},
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if err := w.Write(&in[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("read %d uops, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Errorf("uop %d: read %+v, want %+v", i, out[i], in[i])
+		}
+	}
+}
+
+// FuzzReadAll: ReadAll either rejects its input with ErrCorrupt or
+// accepts a trace that Writer re-encodes to the identical bytes.
+func FuzzReadAll(f *testing.F) {
+	rng := xrand.New(7)
+	var seed bytes.Buffer
+	w, err := NewWriter(&seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		u := randomUop(rng)
+		if err := w.Write(&u); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		uops, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ReadAll = %v, want an ErrCorrupt error", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		w, err := NewWriter(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range uops {
+			if err := w.Write(&uops[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted trace re-encodes to other bytes:\n in: %x\nout: %x", data, out.Bytes())
+		}
+	})
 }
 
 func TestCaptureFromWorkload(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 // code. Match with errors.Is.
 var (
 	// ErrCorrupt wraps syntactically broken input: invalid or truncated
-	// JSON, wrong top-level shape.
+	// JSON, wrong top-level shape, or a uop trace WriteTrace cannot have
+	// written.
 	ErrCorrupt = errors.New("smite: corrupt persisted data")
 	// ErrVersionSkew marks a file whose format version this build does not
 	// understand.

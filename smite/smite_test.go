@@ -3,6 +3,7 @@ package smite
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -183,6 +184,10 @@ func TestTraceRoundTripPublicAPI(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, uops); err != nil {
 		t.Fatal(err)
+	}
+	// A trailing byte that is no uop kind is a public ErrCorrupt.
+	if _, err := ReadTrace(bytes.NewReader(append(bytes.Clone(buf.Bytes()), 0xff))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadTrace(trailing invalid kind) = %v, want ErrCorrupt", err)
 	}
 	got, err := ReadTrace(&buf)
 	if err != nil {

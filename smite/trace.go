@@ -1,6 +1,8 @@
 package smite
 
 import (
+	"errors"
+	"fmt"
 	"io"
 
 	"repro/internal/profile"
@@ -34,8 +36,16 @@ func WriteTrace(w io.Writer, uops []Uop) error {
 	return tw.Flush()
 }
 
-// ReadTrace decodes a trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]Uop, error) { return trace.ReadAll(r) }
+// ReadTrace decodes a trace written by WriteTrace. Input WriteTrace cannot
+// have produced fails with ErrCorrupt, so every trace it accepts writes
+// back to the same bytes.
+func ReadTrace(r io.Reader) ([]Uop, error) {
+	uops, err := trace.ReadAll(r)
+	if errors.Is(err, trace.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return uops, err
+}
 
 // TraceJob wraps a captured trace as a characterizable job: the trace is
 // replayed in a loop on each of the job's instances. footprintBytes
