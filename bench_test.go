@@ -27,6 +27,7 @@ import (
 	"repro/internal/isol"
 	"repro/internal/profile"
 	"repro/internal/qosd"
+	"repro/internal/rulers"
 	"repro/internal/sim/engine"
 	"repro/internal/sim/isa"
 	"repro/internal/slo"
@@ -142,6 +143,38 @@ func BenchmarkEngineHotLoopIsolated(b *testing.B) {
 				b.Fatal("no forward progress")
 			}
 		})
+	}
+}
+
+// BenchmarkChipPrewarm measures functional warm-up on its own: the
+// Prewarm of one characterization cell (FastOptions' PrewarmUops) running
+// 429.mcf beside the L3 Ruler on a cold one-core Ivy Bridge chip. Every
+// profile run pays it before its first timed cycle, and the engine's
+// Mcycles/s numbers count timed cycles only. Reset and Assign run outside
+// the timer, so one op is exactly one Prewarm from empty caches.
+func BenchmarkChipPrewarm(b *testing.B) {
+	cfg := isa.IvyBridge()
+	cfg.Cores = 1
+	spec, err := workload.ByName("429.mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ruler := rulers.For(cfg, rulers.DimL3)
+	uops := profile.FastOptions().PrewarmUops
+	chip := engine.MustNew(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		chip.Reset()
+		chip.Assign(0, 0, workload.NewGen(spec, 1))
+		chip.Assign(0, 1, ruler.NewStream(2))
+		b.StartTimer()
+		chip.Prewarm(uops)
+	}
+	b.StopTimer()
+	if chip.L3().LineCount() == 0 {
+		b.Fatal("prewarm installed nothing")
 	}
 }
 

@@ -160,9 +160,11 @@ type cloudStudy struct {
 // buildCloudStudy builds the CloudSuite study: models are trained on
 // odd-numbered SPEC pairs on the Sandy Bridge-EN machine, then every
 // (latency app, even-SPEC batch app, instance count) co-location is
-// measured and predicted under both placements (paper Section IV-B2). Each
-// caller rebuilds it; the simulations behind it come from the run cache.
-func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
+// measured and predicted under each requested placement (paper Section
+// IV-B2); placementTables holds only those. Each caller rebuilds it for
+// the placements it reads; the simulations behind it come from the run
+// cache.
+func (l *Lab) buildCloudStudy(ctx context.Context, placements ...profile.Placement) (*cloudStudy, error) {
 	threads := l.cloudThreads()
 	cloudApps := l.cloudSet()
 	// Paper protocol for CloudSuite: odd SPEC trains, even SPEC are the
@@ -193,7 +195,7 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 	}
 
 	p := l.Profiler(SandyBridgeEN)
-	for _, placement := range []profile.Placement{profile.SMT, profile.CMP} {
+	for _, placement := range placements {
 		allApps := append(append([]*workload.Spec{}, train...), batch...)
 		allApps = append(allApps, cloudApps...)
 		chars, err := p.CharacterizeAllContext(ctx, allApps, placement)
@@ -305,7 +307,7 @@ type Fig12Row struct {
 // CloudSuite latency-sensitive applications under SMT and CMP co-location
 // with SPEC batch applications on the Sandy Bridge-EN machine.
 func (l *Lab) Fig12CloudSuiteContext(ctx context.Context) (Fig12Result, error) {
-	cs, err := l.buildCloudStudy(ctx)
+	cs, err := l.buildCloudStudy(ctx, profile.SMT, profile.CMP)
 	if err != nil {
 		return Fig12Result{}, err
 	}

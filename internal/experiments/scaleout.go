@@ -42,7 +42,7 @@ func (l *Lab) Fig16And17TailQoSContext(ctx context.Context) (ScaleOutResult, err
 // measured degradations both taken from the table. The underlying
 // cloud-study measurements abort mid-simulation when ctx is cancelled.
 func (l *Lab) ScaleOutStudyContext(ctx context.Context, qos cluster.QoSKind) (ScaleOutResult, error) {
-	cs, err := l.buildCloudStudy(ctx)
+	cs, err := l.buildCloudStudy(ctx, profile.SMT)
 	if err != nil {
 		return ScaleOutResult{}, err
 	}

@@ -48,7 +48,7 @@ type Fig13Result struct {
 // co-locations; the "measured" p90 comes from the queue simulator driven by
 // the measured degradation.
 func (l *Lab) Fig13TailLatencyContext(ctx context.Context) (Fig13Result, error) {
-	cs, err := l.buildCloudStudy(ctx)
+	cs, err := l.buildCloudStudy(ctx, profile.SMT)
 	if err != nil {
 		return Fig13Result{}, err
 	}

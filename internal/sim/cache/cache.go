@@ -1,8 +1,8 @@
 // Package cache implements the set-associative cache model used at every
 // level of the simulated memory hierarchy (private L1D and L2, shared L3).
 //
-// The model is a classic tag array with true-LRU replacement. Hardware
-// contexts are given disjoint address spaces by the engine, so two
+// The model is a classic tag array with true-LRU or random replacement.
+// Hardware contexts are given disjoint address spaces by the engine, so two
 // co-located applications never share lines but do contend for set capacity
 // — which is exactly the interference channel SMiTe's L1/L2/L3 Rulers probe.
 package cache
@@ -15,8 +15,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// Cache is one level of set-associative cache with LRU replacement.
-// It is not safe for concurrent use.
+// Cache is one level of set-associative cache with LRU or random
+// replacement. It is not safe for concurrent use.
 type Cache struct {
 	name      string
 	ways      int
@@ -26,7 +26,7 @@ type Cache struct {
 
 	tags    []uint64 // sets*ways entries; invalidTag marks an empty way
 	lines   int      // number of valid entries
-	stamp   []uint64 // LRU stamps
+	stamp   []uint64 // LRU only: last-touch clock per way, 0 exactly when invalid
 	clock   uint64
 	policy  isa.ReplacementPolicy
 	rng     *xrand.Rand // victim selection for PolicyRandom
@@ -61,10 +61,14 @@ func New(name string, p isa.CacheParams) *Cache {
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, n),
-		stamp:     make([]uint64, n),
 		policy:    p.Policy,
 		rng:       xrand.New(seed),
 		rngSeed:   seed,
+	}
+	if p.Policy != isa.PolicyRandom {
+		// Random replacement never reads recency, so it keeps none: no
+		// stamp array and no stamp write per access.
+		c.stamp = make([]uint64, n)
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -87,7 +91,7 @@ func (c *Cache) Sets() int { return c.sets }
 func (c *Cache) Ways() int { return c.ways }
 
 // Access looks up addr and, when allocate is true, fills the line on a miss
-// (evicting the LRU way). It returns true on a hit.
+// (evicting the victim way). It returns true on a hit.
 func (c *Cache) Access(addr uint64, allocate bool) bool {
 	c.clock++
 	c.accesses++
@@ -102,46 +106,77 @@ func (c *Cache) Access(addr uint64, allocate bool) bool {
 	for i, t := range tags {
 		if t == tag {
 			c.hits++
-			c.stamp[base+i] = c.clock
+			if c.stamp != nil {
+				c.stamp[base+i] = c.clock
+			}
 			return true
 		}
 	}
 	c.misses++
-
-	// Victim selection: first invalid way, else first-oldest stamp (same
-	// choice the former combined scan made).
-	victim := base
-	haveInvalid := false
-	for i, t := range tags {
-		if t == invalidTag {
-			victim = base + i
-			haveInvalid = true
-			break
-		}
-	}
-	if !haveInvalid {
-		oldest := ^uint64(0)
-		stamps := c.stamp[base : base+c.ways]
-		for i, s := range stamps {
-			if s < oldest {
-				victim = base + i
-				oldest = s
-			}
-		}
-		if c.policy == isa.PolicyRandom {
-			victim = base + c.rng.Intn(c.ways)
-		}
-	}
+	// The victim is chosen (and a random draw made) even when the miss
+	// does not allocate, so the replacement stream never depends on it.
+	way, invalid := c.victim(base)
 	if allocate {
-		if haveInvalid {
-			c.lines++
-		} else {
-			c.evicts++
-		}
-		c.tags[victim] = tag
-		c.stamp[victim] = c.clock
+		c.install(base+way, invalid, tag)
 	}
 	return false
+}
+
+// Fill installs addr's line on the caller's guarantee that it is absent:
+// it is exactly Access(addr, true) on a miss — same counters, same victim,
+// same random draw — without the hit scan. Filling a resident line would
+// leave two ways holding one tag; Chip.Prewarm, the only caller, probes
+// each line with Contains first when an invariant checker is attached.
+func (c *Cache) Fill(addr uint64) {
+	c.clock++
+	c.accesses++
+	c.misses++
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.ways
+	way, invalid := c.victim(base)
+	c.install(base+way, invalid, line)
+}
+
+// victim returns the way (relative to base) an allocating miss in the set
+// at base fills, and whether that way is empty: the first invalid way when
+// one exists, else the policy's choice.
+//
+// A way's stamp is 0 exactly when it is invalid: New and Flush zero every
+// stamp with the clock, and every stamp write follows a clock++. Under LRU
+// the first minimum stamp is therefore the first invalid way whenever one
+// exists and the least recently used way otherwise, so one scan serves
+// both. Random replacement keeps no stamps.
+func (c *Cache) victim(base int) (way int, invalid bool) {
+	if c.policy == isa.PolicyRandom {
+		if c.lines < len(c.tags) { // a full cache has no invalid way
+			for i, t := range c.tags[base : base+c.ways] {
+				if t == invalidTag {
+					return i, true
+				}
+			}
+		}
+		return c.rng.Intn(c.ways), false
+	}
+	oldest := ^uint64(0)
+	for i, s := range c.stamp[base : base+c.ways] {
+		if s < oldest {
+			way, oldest = i, s
+		}
+	}
+	return way, oldest == 0
+}
+
+// install writes tag into way i, counting a new line or an eviction.
+func (c *Cache) install(i int, invalid bool, tag uint64) {
+	if invalid {
+		c.lines++
+	} else {
+		c.evicts++
+	}
+	c.tags[i] = tag
+	if c.stamp != nil {
+		c.stamp[i] = c.clock
+	}
 }
 
 // AccessMasked is Access with Intel CAT semantics: the lookup hits in any
@@ -163,55 +198,49 @@ func (c *Cache) AccessMasked(addr uint64, allocate bool, mask uint64) bool {
 	for i, t := range tags {
 		if t == tag {
 			c.hits++
-			c.stamp[base+i] = c.clock
+			if c.stamp != nil {
+				c.stamp[base+i] = c.clock
+			}
 			return true
 		}
 	}
 	c.misses++
 
-	victim := -1
-	haveInvalid := false
-	for i, t := range tags {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if t == invalidTag {
-			victim = base + i
-			haveInvalid = true
-			break
-		}
-	}
-	if !haveInvalid {
-		oldest := ^uint64(0)
-		for i := 0; i < c.ways; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			if s := c.stamp[base+i]; s < oldest {
-				victim = base + i
-				oldest = s
-			}
-		}
-		if victim >= 0 && c.policy == isa.PolicyRandom {
-			owned := bits.OnesCount64(mask & (uint64(1)<<uint(c.ways) - 1))
-			k := c.rng.Intn(owned)
-			m := mask
-			for ; k > 0; k-- {
-				m &= m - 1
-			}
-			victim = base + bits.TrailingZeros64(m)
-		}
-	}
-	if allocate && victim >= 0 {
-		if haveInvalid {
-			c.lines++
-		} else {
-			c.evicts++
-		}
-		c.tags[victim] = tag
-		c.stamp[victim] = c.clock
+	way, invalid := c.victimMasked(base, mask&(uint64(1)<<uint(c.ways)-1))
+	if allocate && way >= 0 {
+		c.install(base+way, invalid, tag)
 	}
 	return false
+}
+
+// victimMasked is victim restricted to the ways set in own (already
+// clipped to the associativity), visited in ascending order; it returns
+// -1 when own is empty. A random draw picks uniformly among the owned
+// ways, so a full mask draws exactly as victim does.
+func (c *Cache) victimMasked(base int, own uint64) (way int, invalid bool) {
+	if own == 0 {
+		return -1, false
+	}
+	if c.policy == isa.PolicyRandom {
+		for m := own; m != 0 && c.lines < len(c.tags); m &= m - 1 {
+			if i := bits.TrailingZeros64(m); c.tags[base+i] == invalidTag {
+				return i, true
+			}
+		}
+		m := own
+		for k := c.rng.Intn(bits.OnesCount64(own)); k > 0; k-- {
+			m &= m - 1
+		}
+		return bits.TrailingZeros64(m), false
+	}
+	oldest := ^uint64(0)
+	for m := own; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if s := c.stamp[base+i]; s < oldest {
+			way, oldest = i, s
+		}
+	}
+	return way, oldest == 0
 }
 
 // Contains reports whether addr is currently resident, without touching LRU
@@ -255,8 +284,8 @@ func (c *Cache) ResetStats() {
 func (c *Cache) Flush() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-		c.stamp[i] = 0
 	}
+	clear(c.stamp)
 	c.lines = 0
 	c.clock = 0
 	c.ResetStats()

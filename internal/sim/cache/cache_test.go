@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -291,5 +293,159 @@ func TestAccessMaskedHitsAnywhere(t *testing.T) {
 	// The line sits in a high way; a context owning only low ways hits it.
 	if !c.AccessMasked(addr, true, 0x0f) {
 		t.Fatal("cross-partition lookup missed a resident line")
+	}
+}
+
+// sameState compares everything observable about two caches, including the
+// victim RNG position.
+func sameState(a, b *Cache) bool {
+	if a.clock != b.clock || a.lines != b.lines || a.accesses != b.accesses ||
+		a.hits != b.hits || a.misses != b.misses || a.evicts != b.evicts || *a.rng != *b.rng {
+		return false
+	}
+	return slices.Equal(a.tags, b.tags) && slices.Equal(a.stamp, b.stamp)
+}
+
+// Fill of an absent line is Access(addr, true) on a miss: same victim, same
+// counters, same random draw. Checked on LRU and random caches that are
+// half full, full, and freshly flushed, and on traffic after the fills.
+func TestCacheFillMatchesAccess(t *testing.T) {
+	for _, pol := range []isa.ReplacementPolicy{isa.PolicyLRU, isa.PolicyRandom} {
+		p := isa.CacheParams{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64, Policy: pol}
+		lines := uint64(p.SizeBytes / p.LineBytes)
+		for _, tc := range []struct {
+			name    string
+			prefill uint64 // distinct lines touched before the fills
+			flush   bool
+		}{
+			{"half-full", lines / 2, false},
+			{"full", 4 * lines, false},
+			{"flushed", 4 * lines, true},
+		} {
+			a, b := New("twin", p), New("twin", p)
+			rng := xrand.New(uint64(pol) + 5)
+			for i := uint64(0); i < tc.prefill; i++ {
+				addr := rng.Uint64n(tc.prefill) * 64
+				a.Access(addr, true)
+				b.Access(addr, true)
+			}
+			if tc.flush {
+				a.Flush()
+				b.Flush()
+			}
+			// Fill lines guaranteed absent: a fresh region.
+			for i := uint64(0); i < lines; i++ {
+				addr := 1<<30 + rng.Uint64n(1<<20)*64
+				if a.Contains(addr) {
+					continue
+				}
+				a.Access(addr, true)
+				b.Fill(addr)
+				if !sameState(a, b) {
+					t.Fatalf("policy %d %s: state diverged at fill %d (%#x)", pol, tc.name, i, addr)
+				}
+			}
+			for i := 0; i < 20000; i++ {
+				addr := rng.Uint64n(1<<16) * 64
+				if a.Access(addr, true) != b.Access(addr, true) {
+					t.Fatalf("policy %d %s: access %d diverged after the fills", pol, tc.name, i)
+				}
+			}
+			if !sameState(a, b) {
+				t.Fatalf("policy %d %s: state diverged after the fills", pol, tc.name)
+			}
+		}
+	}
+}
+
+// refAccess is the two-pass victim selection Access made before it needed
+// one scan: the first invalid way by tag, else the first-oldest stamp, which
+// a random draw then overrides.
+func refAccess(c *Cache, addr uint64, allocate bool, mask uint64) bool {
+	c.clock++
+	c.accesses++
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.ways
+	for i := 0; i < c.ways; i++ {
+		if c.tags[base+i] == line {
+			c.hits++
+			if c.stamp != nil {
+				c.stamp[base+i] = c.clock
+			}
+			return true
+		}
+	}
+	c.misses++
+	victim, haveInvalid := -1, false
+	for i := 0; i < c.ways; i++ {
+		if mask&(1<<uint(i)) != 0 && c.tags[base+i] == invalidTag {
+			victim, haveInvalid = base+i, true
+			break
+		}
+	}
+	if !haveInvalid {
+		// The oldest way among those owned (the draw below replaces it
+		// under random replacement, which keeps no stamps to scan).
+		oldest := ^uint64(0)
+		for i := 0; i < c.ways; i++ {
+			if mask&(1<<uint(i)) == 0 {
+				continue
+			}
+			if c.policy == isa.PolicyRandom {
+				victim = base + i
+			} else if c.stamp[base+i] < oldest {
+				victim, oldest = base+i, c.stamp[base+i]
+			}
+		}
+		if victim >= 0 && c.policy == isa.PolicyRandom {
+			k := c.rng.Intn(bits.OnesCount64(mask & (uint64(1)<<uint(c.ways) - 1)))
+			m := mask
+			for ; k > 0; k-- {
+				m &= m - 1
+			}
+			victim = base + bits.TrailingZeros64(m)
+		}
+	}
+	if allocate && victim >= 0 {
+		if haveInvalid {
+			c.lines++
+		} else {
+			c.evicts++
+		}
+		c.tags[victim] = line
+		if c.stamp != nil {
+			c.stamp[victim] = c.clock
+		}
+	}
+	return false
+}
+
+// The one-scan victim choice (stamp 0 marks an invalid way) picks exactly
+// the way the two-pass choice did, with the same random draws, for Access
+// and AccessMasked, allocating or not, across Flush.
+func TestVictimMatchesTwoPassReference(t *testing.T) {
+	for _, pol := range []isa.ReplacementPolicy{isa.PolicyLRU, isa.PolicyRandom} {
+		p := isa.CacheParams{SizeBytes: 8 << 10, Ways: 8, LineBytes: 64, Policy: pol}
+		for _, mask := range []uint64{0xff, 0x0f, 0xa5, 0x80, 0} {
+			got, want := New("ref", p), New("ref", p)
+			rng := xrand.New(mask + uint64(pol))
+			for i := 0; i < 60000; i++ {
+				if i == 30000 {
+					got.Flush()
+					want.Flush()
+				}
+				addr := rng.Uint64n(1<<15) * 64
+				allocate := rng.Intn(8) != 0
+				var hit bool
+				if mask == 0xff {
+					hit = got.Access(addr, allocate)
+				} else {
+					hit = got.AccessMasked(addr, allocate, mask)
+				}
+				if hit != refAccess(want, addr, allocate, mask) || !sameState(got, want) {
+					t.Fatalf("policy %d mask %#x: access %d diverged from the two-pass reference", pol, mask, i)
+				}
+			}
+		}
 	}
 }

@@ -58,6 +58,18 @@ type FootprintDeclarer interface {
 	PrewarmFootprint() []uint64
 }
 
+// Warmer is an optional Stream extension for functional warm-up. Warm
+// advances the stream by one micro-op exactly as Next would, with the same
+// internal state changes, so a stream warmed n times and then asked for Next
+// yields the same micro-ops as one asked for Next n more times. It need
+// fill only what Chip.Prewarm reads: Kind, Addr for loads and stores, and
+// BrTag and Taken for branches. The engine does not zero u between Warm
+// calls, so the other fields hold stale values. Streams without Warm are
+// warmed through Next on a zeroed Uop.
+type Warmer interface {
+	Warm(u *isa.Uop)
+}
+
 // noDep marks an absent dependency.
 const noDep = ^uint64(0)
 
@@ -636,7 +648,14 @@ func (c *Chip) CoreL2(core int) *cache.Cache { return c.cores[core].l2 }
 // warm regions) that timed warm-up windows cannot touch often enough.
 // Counter pollution is removed by the ResetCounters call that starts every
 // measurement window.
+//
+// Prewarm requires a cold chip: every cache empty, as New and Reset leave
+// it. It panics otherwise. The footprint install relies on this to fill
+// lines without looking them up (see prewarmFootprints).
 func (c *Chip) Prewarm(n int) {
+	if !c.cold() {
+		panic("engine: Prewarm on a chip whose caches hold lines; Reset it first")
+	}
 	c.prewarmFootprints()
 	const chunk = 64
 	for done := 0; done < n; done += chunk {
@@ -645,10 +664,15 @@ func (c *Chip) Prewarm(n int) {
 				if x == nil || !x.active {
 					continue
 				}
+				w, _ := x.stream.(Warmer)
 				u := &x.uop // reused scratch, as in fetchInto
 				for i := 0; i < chunk; i++ {
-					*u = isa.Uop{}
-					x.stream.Next(u)
+					if w != nil {
+						w.Warm(u)
+					} else {
+						*u = isa.Uop{}
+						x.stream.Next(u)
+					}
 					switch u.Kind {
 					case isa.Branch:
 						// Train the predictor in uop time: large branch
@@ -672,22 +696,30 @@ func (c *Chip) Prewarm(n int) {
 	}
 }
 
-// prewarmFootprints installs each active context's declared resident
-// regions into its core's caches and the L3. A region qualifies when it
-// fits within twice the L3 capacity (larger regions have no steady-state
-// residency to model). Regions nest at address 0, so only the largest
-// qualifying size is walked. The job on context 0 is installed before its
-// sibling on context 1, matching the steady state in which the
-// higher-rate co-runner (a Ruler) owns contended lines.
-func (c *Chip) prewarmFootprints() {
-	line := uint64(c.cfg.L3.LineBytes)
-	type job struct {
-		co   *Core
-		x    *Context
-		size uint64
-		pos  uint64
+// cold reports whether every cache on the chip is empty.
+func (c *Chip) cold() bool {
+	for _, co := range c.cores {
+		if co.l1d.LineCount() != 0 || co.l2.LineCount() != 0 {
+			return false
+		}
 	}
-	var jobs []job
+	return c.l3.LineCount() == 0
+}
+
+// footprintJob is one context's part of the footprint install: the bytes
+// of its declared region to walk from the stream's address 0, and how far
+// the walk has got.
+type footprintJob struct {
+	co   *Core
+	x    *Context
+	size uint64
+	pos  uint64
+}
+
+// footprintJobs lists the active contexts that declare a footprint, in
+// core and context order, with each install budget already allocated.
+func (c *Chip) footprintJobs() []footprintJob {
+	var jobs []footprintJob
 	for _, co := range c.cores {
 		for _, x := range co.ctxs {
 			if x == nil || !x.active {
@@ -704,12 +736,12 @@ func (c *Chip) prewarmFootprints() {
 				}
 			}
 			if size > 0 {
-				jobs = append(jobs, job{co: co, x: x, size: size})
+				jobs = append(jobs, footprintJob{co: co, x: x, size: size})
 			}
 		}
 	}
 	if len(jobs) == 0 {
-		return
+		return nil
 	}
 	// Allocate installation budgets max-min fairly within the L3 capacity:
 	// contexts with small resident sets install them fully (a small,
@@ -748,8 +780,29 @@ func (c *Chip) prewarmFootprints() {
 			}
 		}
 	}
+	return jobs
+}
+
+// prewarmFootprints installs each active context's declared resident
+// regions into its core's caches and the L3. A region qualifies when it
+// fits within twice the L3 capacity (larger regions have no steady-state
+// residency to model). Regions nest at address 0, so only the largest
+// qualifying size is walked. The job on context 0 is installed before its
+// sibling on context 1, matching the steady state in which the
+// higher-rate co-runner (a Ruler) owns contended lines.
+func (c *Chip) prewarmFootprints() {
+	jobs := c.footprintJobs()
+	line := uint64(c.cfg.L3.LineBytes)
 	// Interleave installs across contexts in chunks so shared-cache LRU
 	// starts from a fair mixture rather than last-writer-wins.
+	//
+	// Every line walked here is a first touch at every level: Prewarm
+	// starts from empty caches, contexts have disjoint address spaces, each
+	// walk ascends one L3 line at a time, and no level's line is larger
+	// than the L3's (isa.Config.Validate). A lookup would miss everywhere,
+	// so each line is filled directly, with the same victims, counters and
+	// random draws. With a checker attached, each level is first probed
+	// read-only (see checkResident).
 	const chunk = 16
 	for {
 		busy := false
@@ -757,19 +810,41 @@ func (c *Chip) prewarmFootprints() {
 			jb := &jobs[j]
 			for n := uint64(0); n < chunk && jb.pos < jb.size; n++ {
 				a := jb.x.addrBase | jb.pos
-				jb.x.dtlb.Access(a)
-				if !jb.co.l1d.Access(a, true) {
-					if !jb.co.l2.Access(a, true) {
-						c.l3Access(jb.x, a)
-					}
-				}
 				jb.pos += line
+				jb.x.dtlb.Access(a)
+				if c.checker != nil {
+					c.checkResident(jb.co, a)
+				}
+				jb.co.l1d.Fill(a)
+				jb.co.l2.Fill(a)
+				if c.iso == nil {
+					c.l3.Fill(a)
+				} else {
+					c.l3.AccessMasked(a, true, c.iso.wayMask[jb.x.gid])
+				}
 			}
 			if jb.pos < jb.size {
 				busy = true
 			}
 		}
 		if !busy {
+			return
+		}
+	}
+}
+
+// checkResident latches a violation (see CheckErr) when footprint line a is
+// already resident at any level. The cold-install precondition rules that
+// out; Fill on such a line would store its tag in a second way. Contains
+// reads no LRU state or counters, so checked and unchecked runs install
+// identically.
+func (c *Chip) checkResident(co *Core, a uint64) {
+	if c.checkErr != nil {
+		return
+	}
+	for _, ca := range [...]*cache.Cache{co.l1d, co.l2, c.l3} {
+		if ca.Contains(a) {
+			c.checkErr = fmt.Errorf("engine: Prewarm: footprint line %#x is already resident in %s (cold-install precondition violated)", a, ca.Name())
 			return
 		}
 	}

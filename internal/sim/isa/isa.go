@@ -329,6 +329,9 @@ func (c Config) Validate() error {
 		if s := p.Sets(); s&(s-1) != 0 {
 			return fmt.Errorf("isa: config %q: %s set count %d is not a power of two", c.Name, cp.name, s)
 		}
+		if p.LineBytes > c.L3.LineBytes {
+			return fmt.Errorf("isa: config %q: %s line %d B is larger than the L3 line %d B", c.Name, cp.name, p.LineBytes, c.L3.LineBytes)
+		}
 	}
 	if c.MemServiceInterval == 0 {
 		return fmt.Errorf("isa: config %q: memory service interval must be positive", c.Name)
@@ -368,6 +371,9 @@ func (c Config) Validate() error {
 				}
 				if s := p.Sets(); s&(s-1) != 0 {
 					return fmt.Errorf("isa: config %q: class %q %s set count %d is not a power of two", c.Name, cl.Name, cp.name, s)
+				}
+				if p.LineBytes > c.L3.LineBytes {
+					return fmt.Errorf("isa: config %q: class %q %s line %d B is larger than the L3 line %d B", c.Name, cl.Name, cp.name, p.LineBytes, c.L3.LineBytes)
 				}
 			}
 			for k := UopKind(1); k < NumKinds; k++ {

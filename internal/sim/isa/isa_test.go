@@ -114,6 +114,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"scan > rob", func(c *Config) { c.IssueScanDepth = c.ROBSize + 1 }},
 		{"no mshrs", func(c *Config) { c.MSHRsPerContext = 0 }},
 		{"bad l1 sets", func(c *Config) { c.L1D.SizeBytes = 3000 }},
+		// Chip.Prewarm fills footprint lines one L3 line apart without a
+		// lookup; a wider inner line would be filled twice.
+		{"l2 line wider than l3", func(c *Config) { c.L2.LineBytes = 128 }},
 		{"zero mem interval", func(c *Config) { c.MemServiceInterval = 0 }},
 		{"bad page", func(c *Config) { c.PageBytes = 3000 }},
 		{"bad predictor", func(c *Config) { c.BranchPredictorEntries = 100 }},
@@ -140,5 +143,28 @@ func TestPower7LikeValid(t *testing.T) {
 	}
 	if cfg.PortMap[FPMul] == IvyBridge().PortMap[FPMul] {
 		t.Error("POWER7-like port map should differ from Sandy Bridge's")
+	}
+}
+
+// No cache level may have a line wider than the L3's, at the chip level or
+// in a core class; equal lines (every stock part) and narrower ones pass.
+func TestValidateInnerLineWidth(t *testing.T) {
+	cases := []struct {
+		name string
+		f    func(*Config)
+		ok   bool
+	}{
+		{"stock", func(c *Config) {}, true},
+		{"narrower l1", func(c *Config) { c.L1D.LineBytes = 32 }, true},
+		{"wider l1", func(c *Config) { c.L1D.LineBytes = 128 }, false},
+		{"wider class l1", func(c *Config) { c.Classes[1].L1D.LineBytes = 128 }, false},
+		{"wider class l2", func(c *Config) { c.Classes[0].L2.LineBytes = 128 }, false},
+	}
+	for _, tc := range cases {
+		cfg := BigLittle()
+		tc.f(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

@@ -108,14 +108,7 @@ func (g *Gen) mainReuses() bool {
 // Next fills u with the next micro-op of the stream.
 func (g *Gen) Next(u *isa.Uop) {
 	s := g.spec
-	r := g.rng.Float64()
-	kind := isa.Nop
-	for i := range g.cum {
-		if r < g.cum[i] {
-			kind = g.kinds[i]
-			break
-		}
-	}
+	kind := g.nextKind()
 	u.Kind = kind
 
 	switch kind {
@@ -135,16 +128,7 @@ func (g *Gen) Next(u *isa.Uop) {
 	case isa.Branch:
 		// The compare operand depends on recent computation.
 		u.Dep1 = g.depDist()
-		tag := uint32(g.rng.Intn(s.BranchTags))
-		u.BrTag = tag
-		// Each static branch has a fixed bias direction; the outcome
-		// follows the bias with probability BranchBias.
-		bias := (uint64(tag)*0x9E3779B97F4A7C15^g.biasSalt)>>17&1 == 1
-		if g.rng.Bool(s.BranchBias) {
-			u.Taken = bias
-		} else {
-			u.Taken = !bias
-		}
+		u.BrTag, u.Taken = g.nextBranch()
 	default:
 		// ALU ops: independent with probability IndepFrac, otherwise a
 		// geometric backward dependency (and sometimes a second one).
@@ -163,6 +147,65 @@ func (g *Gen) Next(u *isa.Uop) {
 	if s.ITLBMissRate > 0 && g.rng.Bool(s.ITLBMissRate) {
 		u.ITLBMiss = true
 	}
+}
+
+// Warm advances the stream by one micro-op exactly as Next does, with the
+// same random draws in the same order, but fills only what functional
+// warm-up reads: Kind, Addr for loads and stores, and BrTag and Taken for
+// branches. Every other field keeps whatever u held. Dependency distances
+// are skipped, not sampled, which saves Next's logarithm per distance. It
+// implements engine.Warmer.
+func (g *Gen) Warm(u *isa.Uop) {
+	s := g.spec
+	kind := g.nextKind()
+	u.Kind = kind
+
+	switch kind {
+	case isa.Nop:
+	case isa.Load:
+		u.Addr = g.nextAddr()
+		if g.rng.Bool(s.PointerChaseFrac) {
+			g.depGeo.Skip(g.rng)
+		}
+	case isa.Store:
+		g.depGeo.Skip(g.rng)
+		u.Addr = g.nextAddr()
+	case isa.Branch:
+		g.depGeo.Skip(g.rng)
+		u.BrTag, u.Taken = g.nextBranch()
+	default:
+		if !g.rng.Bool(s.IndepFrac) {
+			g.depGeo.Skip(g.rng)
+			if s.Dep2Prob > 0 && g.rng.Bool(s.Dep2Prob) {
+				g.depGeo.Skip(g.rng)
+			}
+		}
+	}
+	g.rng.Bool(s.ICacheMissRate)
+	g.rng.Bool(s.ITLBMissRate)
+}
+
+// nextKind draws the next micro-op's kind from the instruction mix.
+func (g *Gen) nextKind() isa.UopKind {
+	r := g.rng.Float64()
+	for i := range g.cum {
+		if r < g.cum[i] {
+			return g.kinds[i]
+		}
+	}
+	return isa.Nop
+}
+
+// nextBranch draws a branch's static tag and outcome. Each static branch
+// has a fixed bias direction; the outcome follows the bias with
+// probability BranchBias.
+func (g *Gen) nextBranch() (tag uint32, taken bool) {
+	tag = uint32(g.rng.Intn(g.spec.BranchTags))
+	bias := (uint64(tag)*0x9E3779B97F4A7C15^g.biasSalt)>>17&1 == 1
+	if g.rng.Bool(g.spec.BranchBias) {
+		return tag, bias
+	}
+	return tag, !bias
 }
 
 func (g *Gen) depDist() uint16 {

@@ -278,3 +278,44 @@ func TestPrewarmFootprintRules(t *testing.T) {
 		t.Error("short-wrap strided footprint not declared")
 	}
 }
+
+// Warm advances a generator exactly as Next does: for every catalogue
+// spec (and one whose dependency distances draw nothing), Warm×N then
+// Next×M yields the micro-ops Next×(N+M) does, and each warmed micro-op
+// carries the Kind, Addr and branch fields Next would have filled. Warm
+// never zeroes its Uop, so the scratch starts out full of junk.
+func TestGenWarmMatchesNext(t *testing.T) {
+	unitDep := *All()[0]
+	unitDep.Name, unitDep.MeanDepDist = "unit-dep", 1
+	specs := append(All(), &unitDep)
+	const n, m = 5000, 2000
+	for _, s := range specs {
+		for _, seed := range []uint64{1, 99} {
+			warmed, ref := NewGen(s, seed), NewGen(s, seed)
+			scratch := isa.Uop{Kind: isa.FPMul, Dep1: 9, Addr: 0xdead, BrTag: 7, Taken: true, ICacheMiss: true}
+			for i := 0; i < n+m; i++ {
+				var want isa.Uop
+				ref.Next(&want)
+				if i < n {
+					warmed.Warm(&scratch)
+					ok := scratch.Kind == want.Kind
+					switch want.Kind {
+					case isa.Load, isa.Store:
+						ok = ok && scratch.Addr == want.Addr
+					case isa.Branch:
+						ok = ok && scratch.BrTag == want.BrTag && scratch.Taken == want.Taken
+					}
+					if !ok {
+						t.Fatalf("%s seed %d: Warm #%d = %+v, Next gave %+v", s.Name, seed, i, scratch, want)
+					}
+					continue
+				}
+				var got isa.Uop
+				warmed.Next(&got)
+				if got != want {
+					t.Fatalf("%s seed %d: Next #%d after %d Warms = %+v, want %+v", s.Name, seed, i, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -159,6 +159,16 @@ func (g GeometricSampler) Sample(r *Rand) int {
 	return k
 }
 
+// Skip advances r exactly as Sample would without computing the value:
+// it consumes the one uniform draw Sample makes, and nothing when the
+// mean is at most 1. Functional warm-up uses it to keep a stream's random
+// sequence in step while discarding the distances.
+func (g GeometricSampler) Skip(r *Rand) {
+	if g.mean > 1 {
+		r.Uint64()
+	}
+}
+
 // Poisson returns a Poisson-distributed integer with the given mean using
 // Knuth's method for small means and a normal approximation for large ones.
 func (r *Rand) Poisson(mean float64) int {

@@ -232,3 +232,19 @@ func TestLFSRPeriodIsLong(t *testing.T) {
 		}
 	}
 }
+
+// Skip leaves the generator exactly where Sample does: one uniform draw
+// when the mean exceeds 1, none otherwise.
+func TestGeometricSkipMatchesSample(t *testing.T) {
+	for _, mean := range []float64{0.5, 1, 1.0001, 3, 40} {
+		g := NewGeometric(mean)
+		a, b := New(17), New(17)
+		for i := 0; i < 1000; i++ {
+			g.Sample(a)
+			g.Skip(b)
+			if *a != *b {
+				t.Fatalf("mean %g: state diverged after %d draws", mean, i+1)
+			}
+		}
+	}
+}
