@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -138,6 +139,40 @@ func TestRunFlagValidation(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, strings.NewReader(sampleOutput), &out); err == nil {
 			t.Errorf("args %q accepted", args)
+		}
+	}
+}
+
+// benchPatterns returns every -bench '…' pattern in the file at path.
+func benchPatterns(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, m := range regexp.MustCompile(`-bench '([^']*)'`).FindAllStringSubmatch(string(data), -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
+// The README's local bench-gate commands must select what the CI job
+// does: benchci -baseline fails on any baseline entry missing from its
+// input, and -write-baseline would cut the baseline down to the subset.
+func TestReadmeBenchRegexMatchesCI(t *testing.T) {
+	root := filepath.Join("..", "..")
+	ci := benchPatterns(t, filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if len(ci) != 1 {
+		t.Fatalf("ci.yml has %d -bench patterns, want 1", len(ci))
+	}
+	readme := benchPatterns(t, filepath.Join(root, "README.md"))
+	if len(readme) == 0 {
+		t.Fatal("README.md has no -bench pattern")
+	}
+	for i, p := range readme {
+		if p != ci[0] {
+			t.Errorf("README -bench pattern %d is %q, CI runs %q", i, p, ci[0])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/slo"
@@ -180,22 +181,26 @@ func (cl *closedLoop) recharacterize(lat, b int, at float64) {
 // — a logged, typed decision, so replays stay bit-identical.
 func (cl *closedLoop) migrateWorst(lat, b int, at float64) {
 	s := cl.s
+	row := s.rowIdx(0, 0, lat, 1+b)
+	mask := s.rows[row*s.rowWords : (row+1)*s.rowWords]
 	worstState, worstSlack := -1, math.Inf(1)
-	for n := s.maxInst; n >= 1; n-- {
-		state := s.bucketIdx(0, 0, lat, 1+b, n)
-		if s.buckets[state].Len() == 0 {
-			continue
-		}
-		cell := s.t.Cell(lat, b, n)
-		if cl.cur.admit[cell] {
-			continue
-		}
-		if sl := cl.cur.slack[cell]; sl < worstSlack {
-			worstSlack = sl
-			worstState = state
+	// Occupied instance counts, highest first; a stacked row has no n = 0.
+	for wi := len(mask) - 1; wi >= 0; wi-- {
+		for w := mask[wi]; w != 0; {
+			hb := 63 - bits.LeadingZeros64(w)
+			w &^= 1 << hb
+			n := wi<<6 | hb
+			cell := s.t.Cell(lat, b, n)
+			if cl.cur.admit[cell] {
+				continue
+			}
+			if sl := cl.cur.slack[cell]; sl < worstSlack {
+				worstSlack = sl
+				worstState = row*(s.maxInst+1) + n
+			}
 		}
 	}
 	if worstState >= 0 {
-		s.migrate(int32(s.buckets[worstState].Min().handle), b, at)
+		s.migrate(s.buckets[worstState].min(), b, at)
 	}
 }

@@ -182,9 +182,9 @@ func (p isolationPolicy) placed(local int32, b, cell int, at float64) {
 	if gates[m.level].violate[cell] {
 		for l := m.level + 1; int(l) < s.nLevels; l++ {
 			if !gates[l].violate[cell] {
-				s.buckets[s.stateOf(m)].Remove(int64(local))
+				s.vacate(local)
 				m.level = l
-				s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
+				s.occupy(local)
 				s.res.isolations++
 				break
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/slo"
 	"repro/internal/xrand"
@@ -142,15 +143,17 @@ func buildGate(t *PredTable, cfg *SimConfig, floor []float64, scale float64) (ga
 
 // scan is the bucket scan the five scanning policies share; each supplies
 // only its gates, gates[gen][level]. It picks the machine for one
-// instance of batch b, or −1 to reject: O(generations × levels ×
-// lats × instances) bucket peeks, never a fleet scan, scoring admissible
-// candidates with the configured allocation policy (bestfit by default:
-// tightest headroom wins) under deterministic tie-breaks (first
-// admissible state in bucket-scan order, then lowest machine id).
+// instance of batch b, or −1 to reject: O(generations × levels × lats)
+// row reads that visit only non-empty buckets, never a fleet scan,
+// scoring admissible candidates with the configured allocation policy
+// (bestfit by default: tightest headroom wins) under deterministic
+// tie-breaks (first admissible state in bucket-scan order, then lowest
+// machine id).
 func (s *shardSim) scan(b int, gates [][]gate) int32 {
 	alloc := s.w.alloc
 	bestState := -1
 	bestScore := math.Inf(1)
+	stride := s.maxInst + 1
 	for gen := 0; gen < s.nGens; gen++ {
 		t := s.w.tables[gen]
 		for level := 0; level < s.nLevels; level++ {
@@ -160,26 +163,33 @@ func (s *shardSim) scan(b int, gates [][]gate) int32 {
 				// empty machines, which take the first instance (always at
 				// level 0 — isolation disengages when a machine drains);
 				// occupied ones stack more of the same batch kind up to
-				// MaxInstances. Bucket and cell indices are linear in n.
-				stacked, cell1 := s.bucketIdx(gen, level, lat, 1+b, 0), t.Cell(lat, b, 1)
-				for n := 0; n < s.maxInst; n++ {
-					state := stacked + n
-					if n == 0 {
-						if level > 0 {
+				// MaxInstances. Cell indices are linear in n.
+				row, cell1 := s.rowIdx(gen, level, lat, 1+b), t.Cell(lat, b, 1)
+				empty := s.rowIdx(gen, 0, lat, 0)
+				for wi, w := range s.rows[row*s.rowWords : (row+1)*s.rowWords] {
+					if wi == 0 && level == 0 {
+						// A stacked row's bit 0 is never set: lend it the
+						// empty machines' bucket.
+						w |= s.rows[empty*s.rowWords] & 1
+					}
+					for ; w != 0; w &= w - 1 {
+						n := wi<<6 | bits.TrailingZeros64(w)
+						if n >= s.maxInst {
+							break // full machines take no more
+						}
+						cell := cell1 + n
+						if !admit[cell] {
 							continue
 						}
-						state = s.bucketIdx(gen, 0, lat, 0, 0)
-					}
-					if s.buckets[state].Len() == 0 {
-						continue
-					}
-					if cell := cell1 + n; admit[cell] {
 						sc := slack[cell]
 						if alloc != nil {
 							sc = alloc(sc, n+1, predDegOf(t, cell))
 						}
 						if sc < bestScore {
-							bestScore, bestState = sc, state
+							bestScore, bestState = sc, row*stride+n
+							if n == 0 {
+								bestState = empty * stride
+							}
 						}
 					}
 				}
@@ -189,7 +199,7 @@ func (s *shardSim) scan(b int, gates [][]gate) int32 {
 	if bestState < 0 {
 		return -1
 	}
-	return int32(s.buckets[bestState].Min().handle)
+	return s.buckets[bestState].min()
 }
 
 // countViolation is the violation accounting every policy but Isolation
@@ -212,11 +222,10 @@ func (s *shardSim) countViolation(local int32, cell int, at float64) {
 // its departure event rides along.
 func (s *shardSim) migrate(from int32, b int, at float64) {
 	vm := &s.machines[from]
-	state := s.stateOf(vm)
-	s.buckets[state].Remove(int64(from))
+	s.vacate(from)
 	target := s.adm.pick(b)
 	if target < 0 {
-		s.buckets[state].Push(0, 0, int64(from))
+		s.occupy(from)
 		s.res.migrationsFailed++
 		return
 	}
@@ -228,15 +237,15 @@ func (s *shardSim) migrate(from int32, b int, at float64) {
 		vm.batch = -1
 		vm.level = 0
 	}
-	s.buckets[s.stateOf(vm)].Push(0, 0, int64(from))
+	s.occupy(from)
 	s.taxNow += s.taxOf(vm) - oldTax
 
 	tm := &s.machines[target]
-	s.buckets[s.stateOf(tm)].Remove(int64(target))
+	s.vacate(target)
 	oldTax = s.taxOf(tm)
 	tm.batch = int16(b)
 	tm.n++
-	s.buckets[s.stateOf(tm)].Push(0, 0, int64(target))
+	s.occupy(target)
 	s.taxNow += s.taxOf(tm) - oldTax
 	tm.jobs = append(tm.jobs, h)
 	s.owner[h] = target

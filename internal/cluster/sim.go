@@ -21,13 +21,13 @@ import (
 //
 // Determinism. The fleet is statically sharded into scheduling cells
 // (machine → shard, jobs dealt to shards by the workload generator), and
-// each shard is a self-contained sequential simulation: one indexed
-// min-heap of pending departures merged two-way with the shard's
-// time-sorted exogenous stream, ties broken departures-first, then by
-// shard-local sequence numbers. Shards never communicate, so fanning them
-// across sched.Map workers is bit-identical at any worker count; the
-// per-shard placement logs are merged by (At, Shard, Seq) on read, when
-// SimResult.Log is called.
+// each shard is a self-contained sequential simulation: one min-heap of
+// pending departures, cancelled lazily on decommission, merged two-way
+// with the shard's time-sorted exogenous stream, ties broken
+// departures-first, then by shard-local sequence numbers. Shards never
+// communicate, so fanning them across sched.Map workers is bit-identical
+// at any worker count; the per-shard placement logs are merged by (At,
+// Shard, Seq) on read, when SimResult.Log is called.
 // internal/simtest pins replay determinism as a 20-seed law.
 
 // DefaultShards is the shard count used when SimConfig.Shards is zero:
@@ -664,8 +664,12 @@ type shardSim struct {
 
 	machines []simMachine
 	upIDs    []int32 // sorted local ids of up machines
-	buckets  []iheap // occupancy buckets; they share one machine-id index
-	events   *iheap  // pending departures, keyed (time, handle)
+	buckets  []idSet // occupancy buckets: row·(maxInst+1) + n
+	// rows holds, per bucket row (rowIdx), a mask over n of its non-empty
+	// buckets, rowWords words a row.
+	rows     []uint64
+	rowWords int
+	deps     departures // pending departures, keyed (time, handle)
 	// owner maps a departure handle — its index, handles count up from 0 —
 	// to the local machine running the job; released handles hold −1.
 	owner []int32
@@ -681,19 +685,34 @@ type shardSim struct {
 	res                      shardResult
 }
 
-// bucketIdx flattens machine state (generation, isolation level, lat,
-// resident batch or −1, n) to its occupancy bucket. batchState 0 is
-// "empty"; 1+b is "running batch b". Homogeneous, non-isolated fleets
-// collapse to (gen, level) = (0, 0), reproducing the historical index.
-func (s *shardSim) bucketIdx(gen, level, lat, batchState, n int) int {
-	return (((gen*s.nLevels+level)*s.nLat+lat)*(s.nBatch+1)+batchState)*(s.maxInst+1) + n
+// rowIdx flattens machine state (generation, isolation level, lat,
+// resident batch or −1) to its bucket row, whose buckets are the instance
+// counts 0..maxInst. batchState 0 is "empty"; 1+b is "running batch b".
+// Homogeneous, non-isolated fleets collapse to (gen, level) = (0, 0).
+func (s *shardSim) rowIdx(gen, level, lat, batchState int) int {
+	return ((gen*s.nLevels+level)*s.nLat+lat)*(s.nBatch+1) + batchState
 }
 
-func (s *shardSim) stateOf(m *simMachine) int {
-	if m.batch < 0 {
-		return s.bucketIdx(int(m.gen), int(m.level), int(m.lat), 0, 0)
+// slotOf returns the bucket row and instance count of m's state; an
+// empty machine (batch −1, n 0) sits in row batchState 0.
+func (s *shardSim) slotOf(m *simMachine) (row, n int) {
+	return s.rowIdx(int(m.gen), int(m.level), int(m.lat), 1+int(m.batch)), int(m.n)
+}
+
+// occupy files machine local in the bucket of its current state.
+func (s *shardSim) occupy(local int32) {
+	row, n := s.slotOf(&s.machines[local])
+	if s.buckets[row*(s.maxInst+1)+n].add(local) {
+		s.rows[row*s.rowWords+n>>6] |= 1 << (n & 63)
 	}
-	return s.bucketIdx(int(m.gen), int(m.level), int(m.lat), 1+int(m.batch), int(m.n))
+}
+
+// vacate takes machine local out of the bucket of its current state.
+func (s *shardSim) vacate(local int32) {
+	row, n := s.slotOf(&s.machines[local])
+	if s.buckets[row*(s.maxInst+1)+n].remove(local) {
+		s.rows[row*s.rowWords+n>>6] &^= 1 << (n & 63)
+	}
 }
 
 // genOf maps a global machine id to its generation: the id's slot in the
@@ -739,17 +758,16 @@ func (s *shardSim) addMachine(lat int) int32 {
 	local := int32(len(s.machines))
 	gen := s.genOf(globalMachine(s.shard, s.cfg.Shards, local))
 	s.machines = append(s.machines, simMachine{lat: int16(lat), batch: -1, gen: int16(gen)})
-	m := &s.machines[local]
 	s.upIDs = append(s.upIDs, local) // ids are monotone, so append keeps order
-	s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
+	s.occupy(local)
 	s.busyNow += s.w.geoms[gen].threads
 	s.baseNow += s.w.geoms[gen].threads
 	s.ctxNow += s.w.geoms[gen].contexts
 	return local
 }
 
-// dropMachine decommissions the up machine with the given rank, cancelling
-// its pending departures via the indexed heap.
+// dropMachine decommissions the up machine with the given rank. Releasing
+// its jobs' handles cancels their pending departures.
 func (s *shardSim) dropMachine(rank float64) {
 	if len(s.upIDs) == 0 {
 		return
@@ -760,10 +778,9 @@ func (s *shardSim) dropMachine(rank float64) {
 	}
 	local := s.upIDs[i]
 	s.upIDs = append(s.upIDs[:i], s.upIDs[i+1:]...)
+	s.vacate(local)
 	m := &s.machines[local]
-	s.buckets[s.stateOf(m)].Remove(int64(local))
 	for _, h := range m.jobs {
-		s.events.Remove(h)
 		s.owner[h] = -1
 		s.res.evicted++
 	}
@@ -782,17 +799,17 @@ func (s *shardSim) dropMachine(rank float64) {
 // The hook also owns the placement's throughput-tax delta: the isolation
 // ladder may re-level the machine under it, and only the ladder has a tax.
 func (s *shardSim) place(local int32, b int, at, duration float64) {
+	s.vacate(local)
 	m := &s.machines[local]
-	s.buckets[s.stateOf(m)].Remove(int64(local))
 	m.batch = int16(b)
 	m.n++
 	h := int64(len(s.owner))
 	s.owner = append(s.owner, local)
-	s.events.Push(at+duration, uint64(h), h)
+	s.deps.push(at+duration, h)
 	m.jobs = append(m.jobs, h)
 	s.busyNow++
 	s.res.placed++
-	s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
+	s.occupy(local)
 	s.res.log.entries = append(s.res.log.entries, logEntry{At: at, Machine: local, Batch: int16(b), N: m.n})
 	s.adm.placed(local, b, s.w.tables[m.gen].Cell(int(m.lat), b, int(m.n)), at)
 }
@@ -811,7 +828,7 @@ func (s *shardSim) depart(h int64) {
 			break
 		}
 	}
-	s.buckets[s.stateOf(m)].Remove(int64(local))
+	s.vacate(local)
 	oldTax := s.taxOf(m)
 	m.n--
 	if m.n == 0 {
@@ -820,7 +837,7 @@ func (s *shardSim) depart(h int64) {
 		m.batch = -1
 		m.level = 0
 	}
-	s.buckets[s.stateOf(m)].Push(0, 0, int64(local))
+	s.occupy(local)
 	s.taxNow += s.taxOf(m) - oldTax
 	s.busyNow--
 	s.res.departed++
@@ -830,17 +847,25 @@ func (s *shardSim) depart(h int64) {
 // the per-shard event loop.
 const ctxCheckInterval = 1 << 16
 
-func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo []clworkload.Event) (shardResult, error) {
-	nLat, nBatch := cfg.Workload.Lats, cfg.Workload.Batches
+// newShardSim returns shard's empty simulation state: no machines, empty
+// buckets and queue, and the policy's shard-local implementation.
+func newShardSim(cfg *SimConfig, w *simWorld, shard int) *shardSim {
 	s := &shardSim{
 		cfg: cfg, w: w, t: w.tables[0], shard: shard,
-		nLat: nLat, nBatch: nBatch, maxInst: w.tables[0].MaxInstances,
+		nLat: cfg.Workload.Lats, nBatch: cfg.Workload.Batches, maxInst: w.tables[0].MaxInstances,
 		nGens: len(w.tables), nLevels: max(1, len(w.levels)),
-		events: newIheap(),
 	}
+	rows := s.nGens * s.nLevels * s.nLat * (s.nBatch + 1)
+	s.rowWords = s.maxInst>>6 + 1 // bits 0..maxInst
+	s.buckets = make([]idSet, rows*(s.maxInst+1))
+	s.rows = make([]uint64, rows*s.rowWords)
 	spec, _ := policyOf(cfg.Policy)
 	s.adm = spec.newShard(s)
-	s.buckets = sharedIheaps(s.nGens * s.nLevels * nLat * (nBatch + 1) * (s.maxInst + 1))
+	return s
+}
+
+func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo []clworkload.Event) (shardResult, error) {
+	s := newShardSim(cfg, w, shard)
 	// Every arrival logs exactly one entry and takes at most one departure
 	// handle, so sizing both from the arrivals keeps the event loop from
 	// regrowing them; migrations log into their own list and reuse the
@@ -858,7 +883,7 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 	// latency apps round-robin over the population, so shard membership is
 	// a pure function of the global machine id.
 	for g := shard; g < cfg.Workload.Machines; g += cfg.Shards {
-		s.addMachine(g % nLat)
+		s.addMachine(g % s.nLat)
 	}
 	s.res.machinesStart = len(s.upIDs)
 
@@ -868,14 +893,15 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 		// exogenous events at the same instant (capacity frees first).
 		var at float64
 		useDeparture := false
+		pending := s.deps.live(s.owner)
 		switch {
-		case s.events.Len() > 0 && ci < len(exo):
+		case pending && ci < len(exo):
 			at = exo[ci].At
-			if d := s.events.Min().at; d <= at {
+			if d := s.deps[0].at; d <= at {
 				at, useDeparture = d, true
 			}
-		case s.events.Len() > 0:
-			at, useDeparture = s.events.Min().at, true
+		case pending:
+			at, useDeparture = s.deps[0].at, true
 		case ci < len(exo):
 			at = exo[ci].At
 		default:
@@ -892,7 +918,7 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 		s.account(at)
 		s.res.events++
 		if useDeparture {
-			s.depart(s.events.Pop().handle)
+			s.depart(s.deps.pop().handle)
 			continue
 		}
 		ev := exo[ci]
